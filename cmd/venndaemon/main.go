@@ -54,13 +54,10 @@
 // -cpuprofile records a CPU profile until shutdown, so perf work can
 // attribute serving-path time without ad-hoc patches; -mutexprofile and
 // -blockprofile capture lock-contention and goroutine-blocking profiles at
-// shutdown, the natural lenses on the core commit pipeline.
+// shutdown, the natural lenses on the core mutex.
 //
-// Core commit: -core-commit selects how scheduler-core mutations commit
-// (auto: flat combining with an uncontended fast path, the default; direct:
-// the historical per-caller lock; combine: always through the op queue —
-// see the README's Core commit pipeline section). -daily-budget=false lifts
-// the one-task-per-day device budget for sustained-demand benchmarking.
+// Demand: -daily-budget=false lifts the one-task-per-day device budget for
+// sustained-demand benchmarking.
 //
 // Observability: every request feeds always-on per-op latency histograms,
 // and -obs-sample (1 in N, default 64) attaches per-stage spans that land
@@ -160,7 +157,6 @@ func main() {
 		tiers        = flag.Int("tiers", 3, "device-tier granularity V")
 		epsilon      = flag.Float64("epsilon", 0, "fairness knob")
 		shards       = flag.Int("shards", 0, "device-state lock shards (0 = default)")
-		coreCommit   = flag.String("core-commit", "", "scheduler core commit mode: auto (flat combining), direct (per-caller lock), combine (always queue); empty = auto")
 		dailyBudget  = flag.Bool("daily-budget", true, "enforce the one-task-per-device-day budget (false lifts it, for sustained-demand benchmarking)")
 		deviceTTL    = flag.Duration("device-ttl", 24*time.Hour, "evict devices not seen for this long (0 disables)")
 		maxBody      = flag.Int64("max-body-bytes", 0, "HTTP single-item request body bound in bytes (0 = default 1MiB)")
@@ -236,11 +232,6 @@ func main() {
 		stopProfile()
 		os.Exit(1)
 	}
-	if !server.CoreCommitValid(*coreCommit) {
-		fmt.Fprintf(os.Stderr, "venndaemon: unknown -core-commit %q (want auto, direct, or combine)\n", *coreCommit)
-		stopProfile()
-		os.Exit(1)
-	}
 	var shadowList []string
 	if *shadowPols != "" {
 		for _, name := range strings.Split(*shadowPols, ",") {
@@ -264,7 +255,6 @@ func main() {
 		Seed:               *seed,
 		Shards:             *shards,
 		DeviceTTL:          *deviceTTL,
-		CoreCommit:         *coreCommit,
 		DisableDailyBudget: !*dailyBudget,
 		ObsSampleEvery:     *obsSample,
 	})
@@ -344,9 +334,6 @@ func main() {
 		m.PolicyName(), *tiers, *epsilon, m.MetricsSnapshot().Shards, *deviceTTL)
 	if len(shadowList) > 0 {
 		fmt.Printf(" shadows=%s", strings.Join(m.ShadowPolicies(), ","))
-	}
-	if *coreCommit != "" {
-		fmt.Printf(" core-commit=%s", *coreCommit)
 	}
 	if !*dailyBudget {
 		fmt.Printf(" daily-budget=off")

@@ -93,7 +93,6 @@ func main() {
 		category    = flag.String("category", "", "pin every job to one requirement category (default: cycle the standard strata)")
 		shards      = flag.Int("shards", 0, "manager lock shards for self-hosted runs (0 = server default)")
 		polName     = flag.String("policy", "", "scheduling policy for self-hosted daemons (empty = server default: "+policy.Default+")")
-		coreCommit  = flag.String("core-commit", "", "core commit mode for self-hosted daemons: auto (flat combining), direct (per-caller lock), combine (always queue); empty = server default")
 		shadowPols  = flag.String("shadow-policies", "", "comma-separated shadow policies for self-hosted daemons (observed, never applied)")
 		abFlag      = flag.String("ab", "", "policyA,policyB: sequential self-hosted A/B replay of identical seeded traffic with a JCT/throughput/fairness delta table")
 		seed        = flag.Int64("seed", 1, "random seed for the synthetic fleet")
@@ -121,10 +120,6 @@ func main() {
 	}
 	if *polName != "" && !policy.Valid(*polName) {
 		fmt.Fprintf(os.Stderr, "vennload: unknown -policy %q (have: %s)\n", *polName, strings.Join(policy.Names(), ", "))
-		os.Exit(2)
-	}
-	if !server.CoreCommitValid(*coreCommit) {
-		fmt.Fprintf(os.Stderr, "vennload: unknown -core-commit %q (want auto, direct, or combine)\n", *coreCommit)
 		os.Exit(2)
 	}
 	if *demandFrac < 0 || *demandFrac > 1 {
@@ -197,7 +192,7 @@ func main() {
 		Agents: *agents, Conns: *conns, StreamConns: *streamCns, Duration: *duration,
 		Jobs: *jobs, Demand: *demand, DemandFrac: *demandFrac, Rounds: *rounds,
 		Category: *category, Seed: *seed,
-		Policy: *polName, Shadow: shadowList, CoreCommit: *coreCommit,
+		Policy: *polName, Shadow: shadowList,
 		WireVersion: *wireVer, StreamShards: *streamShrds, ObsSample: *obsSample,
 	}
 	switch {
@@ -263,7 +258,7 @@ func main() {
 		// keeps fresh job arrivals flowing (daily budget lifted) so a target
 		// fraction of check-ins wins an assignment and reports back; while
 		// demand is open every check-in commits through the scheduler core,
-		// so this rung measures the flat-combining commit pipeline where the
+		// so this rung measures the mutex-held core section where the
 		// surplus rungs measure the lock-free snapshot path.
 		contended := base
 		contended.Mode, contended.Transport, contended.Shards, contended.Batch, contended.Gomaxprocs = "stream-v2-contended", "stream", *shards, max(*batch, 2), 1
@@ -436,7 +431,6 @@ type loadConfig struct {
 	Shards        int      // self-hosted runs only; 0 = server default
 	Policy        string   // self-hosted runs only; "" = server default
 	Shadow        []string // self-hosted runs only; shadow policies to attach
-	CoreCommit    string   // self-hosted runs only; "" = server default (auto)
 	Batch         int
 	Agents        int
 	Conns         int
@@ -468,7 +462,6 @@ func managerConfig(cfg loadConfig) server.Config {
 		Policy:         cfg.Policy,
 		ShadowPolicies: cfg.Shadow,
 		Seed:           cfg.Seed,
-		CoreCommit:     cfg.CoreCommit,
 		// Demand-heavy runs lift the one-task-per-day budget: sustained
 		// contention needs the same fleet to stay assignable, or the budget
 		// drains the eligible pool within seconds and the run degenerates
@@ -526,7 +519,6 @@ type runResult struct {
 	Transport        string           `json:"transport"`
 	Shards           int              `json:"shards,omitempty"`
 	Policy           string           `json:"policy,omitempty"`
-	CoreCommit       string           `json:"core_commit,omitempty"`
 	DemandFrac       float64          `json:"demand_frac,omitempty"`
 	ServedByPolicy   map[string]int64 `json:"served_by_policy,omitempty"`
 	JCTAvgSeconds    float64          `json:"jct_avg_seconds,omitempty"`
@@ -1301,7 +1293,6 @@ func runLoad(lanes []lane, cfg loadConfig) runResult {
 		Mode:            cfg.Mode,
 		Transport:       cfg.Transport,
 		Policy:          activePolicy,
-		CoreCommit:      cfg.CoreCommit,
 		DemandFrac:      cfg.DemandFrac,
 		ServedByPolicy:  servedBy,
 		Agents:          cfg.Agents,

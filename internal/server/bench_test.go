@@ -85,56 +85,50 @@ func BenchmarkManagerCheckInBatchSharded(b *testing.B) {
 // BenchmarkCheckInContended measures the demand-heavy regime: an
 // inexhaustible General job plus a lifted daily budget means every check-in
 // is assignment-eligible and commits through the scheduler core, and every
-// assignment is reported back so the same devices stay assignable. The
-// direct/auto pair isolates the flat-combining applier (combiner.go)
-// against the historical per-caller lock on identical traffic.
+// assignment is reported back so the same devices stay assignable.
 func BenchmarkCheckInContended(b *testing.B) {
-	for _, mode := range []string{"direct", "auto"} {
-		b.Run(mode, func(b *testing.B) {
-			const batch = 64
-			m := NewManager(Config{CoreCommit: mode, DisableDailyBudget: true})
-			if _, err := m.RegisterJob(JobSpec{Category: "General", DemandPerRound: 1 << 30, Rounds: 1}); err != nil {
-				b.Fatal(err)
+	const batch = 64
+	m := NewManager(Config{DisableDailyBudget: true})
+	if _, err := m.RegisterJob(JobSpec{Category: "General", DemandPerRound: 1 << 30, Rounds: 1}); err != nil {
+		b.Fatal(err)
+	}
+	var worker atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		w := worker.Add(1)
+		cis := make([]CheckIn, batch)
+		for i := range cis {
+			cis[i] = CheckIn{
+				DeviceID: fmt.Sprintf("w%d-d%d", w, i),
+				CPU:      0.5 + float64(i%5)/10,
+				Mem:      0.5 + float64(i%4)/10,
 			}
-			var worker atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				w := worker.Add(1)
-				cis := make([]CheckIn, batch)
-				for i := range cis {
-					cis[i] = CheckIn{
-						DeviceID: fmt.Sprintf("w%d-d%d", w, i),
-						CPU:      0.5 + float64(i%5)/10,
-						Mem:      0.5 + float64(i%4)/10,
+		}
+		reps := make([]Report, 0, batch)
+		for pb.Next() {
+			reps = reps[:0]
+			for i, r := range m.CheckInBatch(cis) {
+				if r.Error != "" {
+					b.Fatal(r.Error)
+				}
+				if r.Assigned {
+					reps = append(reps, Report{
+						DeviceID: cis[i].DeviceID, JobID: r.JobID,
+						OK: true, DurationSeconds: 1,
+					})
+				}
+			}
+			if len(reps) > 0 {
+				for _, rr := range m.ReportBatch(reps) {
+					if rr.Error != "" {
+						b.Fatal(rr.Error)
 					}
 				}
-				reps := make([]Report, 0, batch)
-				for pb.Next() {
-					reps = reps[:0]
-					for i, r := range m.CheckInBatch(cis) {
-						if r.Error != "" {
-							b.Fatal(r.Error)
-						}
-						if r.Assigned {
-							reps = append(reps, Report{
-								DeviceID: cis[i].DeviceID, JobID: r.JobID,
-								OK: true, DurationSeconds: 1,
-							})
-						}
-					}
-					if len(reps) > 0 {
-						for _, rr := range m.ReportBatch(reps) {
-							if rr.Error != "" {
-								b.Fatal(rr.Error)
-							}
-						}
-					}
-				}
-			})
-			b.StopTimer()
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(b.N)*batch/sec, "checkins/s")
 			}
-		})
+		}
+	})
+	b.StopTimer()
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(b.N)*batch/sec, "checkins/s")
 	}
 }

@@ -24,12 +24,10 @@
 // across every item that still needs the scheduler.
 //
 // Check-ins that do need the scheduler — and reports, and job arrivals —
-// commit through the flat-combining pipeline in combiner.go: under
-// contention callers enqueue typed core ops and a single combiner applies
-// them in rounds, one mutex acquisition and one maintenance pass per round
-// instead of per caller; uncontended callers keep the historical direct
-// lock. Lock order is always: shard locks in ascending shard index, then
-// the core mutex (the combiner takes no shard locks).
+// commit in one core section (core.go): a single hold of the core mutex
+// with one maintenance pass on entry and a plan republish on exit. Lock
+// order is always: shard locks in ascending shard index, then the core
+// mutex.
 package server
 
 import (
@@ -211,12 +209,6 @@ type Config struct {
 	// it with a 24h default). Applies to busy devices too: a reservation
 	// a full TTL old belongs to a device that crashed mid-task.
 	DeviceTTL time.Duration
-	// CoreCommit selects how core ops commit (combiner.go): "" or "auto"
-	// for flat combining with an uncontended direct fast path, "direct"
-	// for the historical per-caller lock acquisition, "combine" to force
-	// every op through the queue (tests). Unknown names panic in
-	// NewManager — CLIs validate with CoreCommitValid first.
-	CoreCommit string
 	// DisableDailyBudget lifts the one-task-per-device-per-day realism
 	// constraint. Load benchmarks set it so a demand-heavy run exercises
 	// sustained assignment traffic instead of exhausting the fleet's
@@ -307,29 +299,19 @@ type Manager struct {
 	deadlineDue atomic.Int64
 	attempt     map[job.ID]uint64
 
-	// Flat-combining core commit pipeline (combiner.go). coreHead is the
-	// MPSC op queue, combining elects the single combiner, coreMode is the
-	// parsed Config.CoreCommit. The counters and the wait tracker feed
-	// /v1/metrics (core_rounds, core_ops_per_round, core_wait_ns).
-	coreMode        int
-	coreHead        atomic.Pointer[coreOp]
-	combining       atomic.Bool
-	coreRounds      atomic.Int64
-	coreCombinedOps atomic.Int64
-	coreFastOps     atomic.Int64
-	coreWait        *latencyTrack
-	// coreHeldSince is the UnixNano at which the current combiner took the
-	// core mutex (0 when free); Health reads it to detect a wedged core.
+	// coreHeldSince is the UnixNano at which the current core section took
+	// the core mutex (0 when free); Health reads it to detect a wedged core.
 	coreHeldSince atomic.Int64
 
 	// Cumulative counters (guarded by mu; all mutated in core sections).
 	assignments, reports, failures, aborts int
 
-	// streamSource, when set, supplies the stream-transport counters
-	// surfaced by MetricsSnapshot; guarded by mu.
-	streamSource StreamTelemetrySource
-	// clusterSource, when set, supplies the federation counters surfaced by
-	// MetricsSnapshot; guarded by mu.
+	// streamSource and clusterSource, when set, supply the stream-transport
+	// and federation counters surfaced by MetricsSnapshot and Health. They
+	// are guarded by srcMu, not mu, so Health can read them while a core
+	// section is wedged.
+	srcMu         sync.Mutex
+	streamSource  StreamTelemetrySource
 	clusterSource ClusterTelemetrySource
 	// routerBox holds the attached federation Router (nil box or nil field
 	// when standalone). An atomic pointer because every serving-path request
@@ -472,7 +454,7 @@ func (m *Manager) NotifyTopologyChanged(info TopologyInfo) int {
 }
 
 // ClusterTelemetrySource supplies live federation counters. Like
-// StreamTelemetrySource it is polled with the manager's mutex held, so
+// StreamTelemetrySource it is polled with a manager lock held, so
 // implementations must read only their own atomics/snapshots — never call
 // back into the Manager.
 type ClusterTelemetrySource interface {
@@ -482,19 +464,19 @@ type ClusterTelemetrySource interface {
 // SetClusterTelemetrySource registers the source MetricsSnapshot polls for
 // federation counters.
 func (m *Manager) SetClusterTelemetrySource(src ClusterTelemetrySource) {
-	m.mu.Lock()
+	m.srcMu.Lock()
 	m.clusterSource = src
-	m.mu.Unlock()
+	m.srcMu.Unlock()
 }
 
 // ClearClusterTelemetrySource detaches src if it is still the registered
 // source; a newer registration is left in place.
 func (m *Manager) ClearClusterTelemetrySource(src ClusterTelemetrySource) {
-	m.mu.Lock()
+	m.srcMu.Lock()
 	if m.clusterSource == src {
 		m.clusterSource = nil
 	}
-	m.mu.Unlock()
+	m.srcMu.Unlock()
 }
 
 // StreamTelemetry is a snapshot of streaming-transport counters, supplied
@@ -507,8 +489,8 @@ type StreamTelemetry struct {
 }
 
 // StreamTelemetrySource supplies live stream-transport counters. It is
-// polled with the manager's mutex held, so implementations must only read
-// their own counters — never call back into the Manager.
+// polled with a manager lock held, so implementations must only read their
+// own counters — never call back into the Manager.
 type StreamTelemetrySource interface {
 	StreamTelemetry() StreamTelemetry
 }
@@ -517,20 +499,20 @@ type StreamTelemetrySource interface {
 // stream-transport counters. The stream server calls this when it attaches
 // to the manager.
 func (m *Manager) SetStreamTelemetrySource(src StreamTelemetrySource) {
-	m.mu.Lock()
+	m.srcMu.Lock()
 	m.streamSource = src
-	m.mu.Unlock()
+	m.srcMu.Unlock()
 }
 
 // ClearStreamTelemetrySource detaches src if it is still the registered
 // source, so a shut-down stream server neither pins its memory nor keeps
 // reporting frozen counters; a newer registration is left in place.
 func (m *Manager) ClearStreamTelemetrySource(src StreamTelemetrySource) {
-	m.mu.Lock()
+	m.srcMu.Lock()
 	if m.streamSource == src {
 		m.streamSource = nil
 	}
-	m.mu.Unlock()
+	m.srcMu.Unlock()
 }
 
 type managedJob struct {
@@ -577,13 +559,7 @@ func NewManager(cfg Config) *Manager {
 	if seed == 0 {
 		seed = cfg.Clock().UnixNano()
 	}
-	coreMode, ok := parseCoreCommit(cfg.CoreCommit)
-	if !ok {
-		panic(fmt.Sprintf("server: unknown core commit mode %q", cfg.CoreCommit))
-	}
 	m := &Manager{
-		coreMode:   coreMode,
-		coreWait:   &latencyTrack{},
 		cfg:        cfg,
 		start:      cfg.Clock(),
 		categories: make(map[string]device.Requirement, len(cfg.Categories)),
@@ -634,9 +610,9 @@ func (m *Manager) PolicyName() string { return m.policyName }
 // /v1/debug/flight dumps its flight recorder.
 func (m *Manager) Obs() *obs.Registry { return m.obs }
 
-// coreWedgeAfter is how long one combiner may hold the core mutex before
-// Health declares the core wedged. Real rounds hold it for microseconds;
-// seconds means a stuck policy or a deadlock.
+// coreWedgeAfter is how long one core section may hold the core mutex
+// before Health declares the core wedged. Real sections hold it for
+// microseconds; seconds means a stuck policy or a deadlock.
 const coreWedgeAfter = 5 * time.Second
 
 // HealthStatus is the GET /v1/healthz payload. OK mirrors the HTTP status
@@ -644,9 +620,9 @@ const coreWedgeAfter = 5 * time.Second
 type HealthStatus struct {
 	OK            bool    `json:"ok"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// CoreHeldSeconds is how long the current core-combiner mutex hold has
-	// lasted (0 when the core is free); past coreWedgeAfter the daemon is
-	// unhealthy.
+	// CoreHeldSeconds is how long the current core section has held the
+	// core mutex (0 when the core is free); past coreWedgeAfter the daemon
+	// is unhealthy.
 	CoreHeldSeconds float64 `json:"core_held_seconds,omitempty"`
 	// PeersUp/PeersDown mirror the federation peer states; absent when
 	// standalone. A federated daemon with every peer down is degraded but
@@ -657,10 +633,11 @@ type HealthStatus struct {
 	Detail    string `json:"detail,omitempty"`
 }
 
-// Health evaluates daemon liveness in one place: the core commit pipeline
-// must not be wedged (one mutex hold exceeding coreWedgeAfter), and
-// federation peer health is surfaced alongside. Every health surface —
-// /v1/healthz, the venndaemon -log-metrics line — derives from this.
+// Health evaluates daemon liveness in one place: the core must not be
+// wedged (one core section exceeding coreWedgeAfter), and federation peer
+// health is surfaced alongside. It never takes the core mutex, so a wedged
+// core cannot stall it. Every health surface — /v1/healthz, the venndaemon
+// -log-metrics line — derives from this.
 func (m *Manager) Health() HealthStatus {
 	h := HealthStatus{OK: true, UptimeSeconds: float64(m.now()) / 1000}
 	if since := m.coreHeldSince.Load(); since != 0 {
@@ -670,12 +647,12 @@ func (m *Manager) Health() HealthStatus {
 		}
 		if held > coreWedgeAfter {
 			h.OK = false
-			h.Detail = "core commit pipeline wedged"
+			h.Detail = "core section wedged"
 		}
 	}
-	m.mu.Lock()
+	m.srcMu.Lock()
 	src := m.clusterSource
-	m.mu.Unlock()
+	m.srcMu.Unlock()
 	if src != nil {
 		ct := src.ClusterTelemetry()
 		for _, st := range ct.PeerStates {
@@ -712,9 +689,8 @@ func (m *Manager) shardIndex(deviceID string) int {
 	return int(h.Sum32()) % len(m.shards)
 }
 
-// RegisterJob admits a new CL job and opens its first-round request. The
-// admission itself commits through the core pipeline (combiner.go) as an
-// opRegister, so job arrivals combine with in-flight assignment rounds.
+// RegisterJob admits a new CL job and opens its first-round request in one
+// core section.
 func (m *Manager) RegisterJob(spec JobSpec) (JobStatus, error) {
 	if _, ok := m.categories[spec.Category]; !ok {
 		return JobStatus{}, fmt.Errorf("%w: %q", ErrUnknownCategory, spec.Category)
@@ -722,7 +698,10 @@ func (m *Manager) RegisterJob(spec JobSpec) (JobStatus, error) {
 	if spec.DemandPerRound < 1 || spec.Rounds < 1 {
 		return JobStatus{}, errors.New("server: demand and rounds must be positive")
 	}
-	return m.submitRegister(spec), nil
+	now := m.lockCore(nil)
+	st := m.registerJobLocked(spec, now)
+	m.unlockCore()
+	return st, nil
 }
 
 // registerJobLocked admits a pre-validated job spec. The caller holds the
@@ -895,8 +874,8 @@ func (m *Manager) DeviceCheckIn(ci CheckIn) (Assignment, error) {
 }
 
 // DeviceCheckInSpan is DeviceCheckIn carrying the request's observability
-// span (nil when unsampled): ops that enter the core commit pipeline
-// attribute their queue wait and apply time to it.
+// span (nil when unsampled): a check-in that enters the core section
+// attributes its core-mutex wait and apply time to it.
 func (m *Manager) DeviceCheckInSpan(ci CheckIn, sp *obs.Span) (Assignment, error) {
 	if ci.DeviceID == "" {
 		return Assignment{}, errDeviceIDMissing
@@ -928,7 +907,11 @@ func (m *Manager) DeviceCheckInSpan(ci CheckIn, sp *obs.Span) (Assignment, error
 			})
 		}
 	} else {
-		asg = m.submitAssign(md, ci.DeviceID, sp)
+		coreNow := m.lockCore(sp)
+		t0 := applyStart(sp)
+		asg = m.assignCoreLocked(md, ci.DeviceID, coreNow)
+		markApply(sp, t0)
+		m.unlockCore()
 	}
 	m.metrics.checkins.Add(sec, 1)
 	if asg.Assigned {
@@ -969,10 +952,10 @@ func (m *Manager) CheckInBatchSpan(cis []CheckIn, sp *obs.Span) []CheckInResult 
 	nowSec := m.nowSec()
 	// If churn left the plan stale, pay one refresh up front so the whole
 	// batch probes a fresh snapshot instead of queueing for the locked
-	// path item by item. The refresh commits through the core pipeline, so
-	// concurrent batches share one republish.
+	// path item by item. An empty core section republishes on unlock.
 	if m.lockFreeOK && !m.venn.PlanFresh() {
-		m.submitRefresh()
+		m.lockCore(nil)
+		m.unlockCore()
 	}
 	pending := make([]*managedDevice, len(cis))
 	var needCore []int
@@ -1015,16 +998,16 @@ func (m *Manager) CheckInBatchSpan(cis []CheckIn, sp *obs.Span) []CheckInResult 
 
 	assigned := 0
 	if len(needCore) > 0 {
-		items := make([]assignItem, len(needCore))
-		for k, i := range needCore {
-			items[k] = assignItem{md: pending[i], id: cis[i].DeviceID, out: &out[i].Assignment}
-		}
-		m.submitAssignBatch(items, sp)
+		coreNow := m.lockCore(sp)
+		t0 := applyStart(sp)
 		for _, i := range needCore {
+			out[i].Assignment = m.assignCoreLocked(pending[i], cis[i].DeviceID, coreNow)
 			if out[i].Assigned {
 				assigned++
 			}
 		}
+		markApply(sp, t0)
+		m.unlockCore()
 	}
 	for i, md := range pending {
 		if md != nil && !out[i].Assigned {
@@ -1091,7 +1074,11 @@ func (m *Manager) DeviceReportSpan(r Report, sp *obs.Span) error {
 	if md.busy {
 		m.release(md)
 	}
-	m.submitReport(r, md, sp)
+	now := m.lockCore(sp)
+	t0 := applyStart(sp)
+	m.reportCoreLocked(r, md, now)
+	markApply(sp, t0)
+	m.unlockCore()
 	m.metrics.reportRate.Add(m.nowSec(), 1)
 	return nil
 }
@@ -1137,13 +1124,15 @@ func (m *Manager) ReportBatchSpan(rs []Report, sp *obs.Span) []ReportResult {
 		accepted++
 	}
 	if accepted > 0 {
-		items := make([]reportItem, 0, accepted)
+		now := m.lockCore(sp)
+		t0 := applyStart(sp)
 		for i, md := range devs {
 			if md != nil {
-				items = append(items, reportItem{r: rs[i], md: md})
+				m.reportCoreLocked(rs[i], md, now)
 			}
 		}
-		m.submitReportBatch(items, sp)
+		markApply(sp, t0)
+		m.unlockCore()
 	}
 	m.metrics.reportRate.Add(m.nowSec(), int64(accepted))
 	return out

@@ -1,19 +1,16 @@
 package server
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"venn/internal/job"
 	"venn/internal/obs"
-	"venn/internal/stats"
 )
 
 // Metrics is the GET /v1/metrics payload: serving throughput, queue depths,
 // and handler latency percentiles. Rates are averaged over the trailing
-// rateWindowSeconds full seconds; latency percentiles are computed over a
-// sliding window of the most recent latencyWindow requests per route.
+// rateWindowSeconds full seconds; latency percentiles are read from the
+// cumulative obs histograms, so they cover every request since start.
 type Metrics struct {
 	UptimeSeconds     float64 `json:"uptime_seconds"`
 	Shards            int     `json:"shards"`
@@ -48,17 +45,11 @@ type Metrics struct {
 	// DevicesEvicted counts registry entries dropped by TTL sweeps.
 	DevicesEvicted int64 `json:"devices_evicted_total"`
 
-	// Core commit pipeline telemetry (combiner.go). CoreRounds counts
-	// combining rounds applied; CoreCombinedOps counts the queued ops they
-	// carried (CoreOpsPerRound is their ratio — the amortization factor);
-	// CoreFastPathOps counts ops applied directly on the uncontended fast
-	// path, no queue hop. CoreWaitNs gives the wait-time percentiles, in
-	// nanoseconds, of submitters that parked while a combiner worked.
-	CoreRounds      int64          `json:"core_rounds"`
-	CoreCombinedOps int64          `json:"core_combined_ops"`
-	CoreOpsPerRound float64        `json:"core_ops_per_round"`
-	CoreFastPathOps int64          `json:"core_fastpath_ops"`
-	CoreWaitNs      LatencySummary `json:"core_wait_ns"`
+	// Deprecated: always zero. The core commits in one mutex-held section
+	// and combines nothing; the field remains for existing readers.
+	CoreCombinedOps int64 `json:"-"`
+	// Deprecated: always zero, like CoreCombinedOps.
+	CoreOpsPerRound float64 `json:"-"`
 
 	// CheckInsPerSecByTransport splits the served check-in rate by the
 	// transport that carried it ("http", "stream"); transports with no
@@ -125,8 +116,9 @@ type Metrics struct {
 	FlightRecorded int64 `json:"flight_recorded_total"`
 }
 
-// LatencySummary describes one route's handler latency. Count is cumulative;
-// the percentiles cover the most recent latencyWindow observations.
+// LatencySummary condenses one cumulative obs histogram: Count is every
+// observation since start, and the percentiles are bucket estimates over
+// the same span.
 type LatencySummary struct {
 	Count int64   `json:"count"`
 	P50   float64 `json:"p50"`
@@ -141,8 +133,6 @@ const (
 	rateRingSeconds = 32
 	// rateWindowSeconds is the averaging window for the */s rates.
 	rateWindowSeconds = 10
-	// latencyWindow is the per-route sliding window for percentiles.
-	latencyWindow = 2048
 )
 
 // rateCounter counts events into per-second buckets with atomics only, so
@@ -187,46 +177,6 @@ func (rc *rateCounter) PerSec(nowSec int64) float64 {
 		}
 	}
 	return float64(sum) / rateWindowSeconds
-}
-
-// latencyTrack keeps one route's cumulative count plus a ring of the most
-// recent observations for percentile estimation.
-type latencyTrack struct {
-	mu    sync.Mutex
-	count int64
-	ring  [latencyWindow]float64
-	n     int // filled entries
-	idx   int // next write position
-}
-
-func (t *latencyTrack) observe(ms float64) {
-	t.mu.Lock()
-	t.count++
-	t.ring[t.idx] = ms
-	t.idx = (t.idx + 1) % latencyWindow
-	if t.n < latencyWindow {
-		t.n++
-	}
-	t.mu.Unlock()
-}
-
-func (t *latencyTrack) summary() LatencySummary {
-	t.mu.Lock()
-	count := t.count
-	window := make([]float64, t.n)
-	copy(window, t.ring[:t.n])
-	t.mu.Unlock()
-	if count == 0 {
-		return LatencySummary{}
-	}
-	sort.Float64s(window)
-	return LatencySummary{
-		Count: count,
-		P50:   stats.PercentileSorted(window, 50),
-		P90:   stats.PercentileSorted(window, 90),
-		P99:   stats.PercentileSorted(window, 99),
-		Max:   window[len(window)-1],
-	}
 }
 
 // Route labels for the per-op latency maps of /v1/metrics. They are the
@@ -300,13 +250,6 @@ func (m *Manager) MetricsSnapshot() Metrics {
 		ObsSampleEvery:    m.obs.SampleEvery(),
 		FlightRecorded:    m.obs.Flight().Recorded(),
 	}
-	out.CoreRounds = m.coreRounds.Load()
-	out.CoreCombinedOps = m.coreCombinedOps.Load()
-	if out.CoreRounds > 0 {
-		out.CoreOpsPerRound = float64(out.CoreCombinedOps) / float64(out.CoreRounds)
-	}
-	out.CoreFastPathOps = m.coreFastOps.Load()
-	out.CoreWaitNs = m.coreWait.summary()
 	for op := obs.Op(0); op < obs.NumOps; op++ {
 		if s := m.obs.TotalSnapshot(op); s.Count() > 0 {
 			out.HandlerLatencyMs[op.String()] = histSummary(s, 1e6)
@@ -335,7 +278,7 @@ func (m *Manager) MetricsSnapshot() Metrics {
 			out.CheckInsPerSecByTransport[tr] = rate
 		}
 	}
-	m.mu.Lock()
+	m.srcMu.Lock()
 	if m.streamSource != nil {
 		st := m.streamSource.StreamTelemetry()
 		out.StreamConns = st.Conns
@@ -366,6 +309,8 @@ func (m *Manager) MetricsSnapshot() Metrics {
 		out.ForwardBytesIn = ct.ForwardBytesIn
 		out.ForwardBytesOut = ct.ForwardBytesOut
 	}
+	m.srcMu.Unlock()
+	m.mu.Lock()
 	out.UptimeSeconds = float64(m.now()) / 1000
 	out.Assignments = int64(m.assignments)
 	out.Reports = int64(m.reports)

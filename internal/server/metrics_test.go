@@ -32,38 +32,6 @@ func TestRateCounter(t *testing.T) {
 	}
 }
 
-func TestLatencyTrack(t *testing.T) {
-	var lt latencyTrack
-	if s := lt.summary(); s.Count != 0 {
-		t.Fatalf("empty summary: %+v", s)
-	}
-	for i := 1; i <= 100; i++ {
-		lt.observe(float64(i))
-	}
-	s := lt.summary()
-	if s.Count != 100 || s.Max != 100 {
-		t.Fatalf("summary: %+v", s)
-	}
-	if s.P50 < 49 || s.P50 > 52 {
-		t.Errorf("p50 = %v", s.P50)
-	}
-	if s.P99 < 98 || s.P99 > 100 {
-		t.Errorf("p99 = %v", s.P99)
-	}
-	// Overflow the ring: the window keeps only the most recent
-	// latencyWindow samples, the count keeps everything.
-	for i := 0; i < latencyWindow+10; i++ {
-		lt.observe(1000)
-	}
-	s = lt.summary()
-	if s.Count != int64(100+latencyWindow+10) {
-		t.Errorf("cumulative count = %d", s.Count)
-	}
-	if s.P50 != 1000 {
-		t.Errorf("windowed p50 = %v, want 1000", s.P50)
-	}
-}
-
 func TestMetricsSnapshotAndEndpoint(t *testing.T) {
 	clk := newFakeClock()
 	m := newTestManager(clk)

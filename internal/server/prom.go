@@ -44,10 +44,6 @@ func WritePrometheus(b *strings.Builder, m *Manager) {
 	counter("venn_plan_patches_total", "Incremental scheduling-plan patches.", mt.PlanPatches)
 	counter("venn_flight_recorded_total", "Requests retained by the flight recorder since start.", mt.FlightRecorded)
 
-	counter("venn_core_rounds_total", "Flat-combining rounds applied by the core commit pipeline.", mt.CoreRounds)
-	counter("venn_core_combined_ops_total", "Queued core ops applied by combining rounds.", mt.CoreCombinedOps)
-	counter("venn_core_fastpath_ops_total", "Core ops applied on the uncontended fast path.", mt.CoreFastPathOps)
-
 	gauge("venn_known_devices", "Devices currently in the registry.", float64(mt.KnownDevices))
 	gauge("venn_busy_devices", "Devices currently holding a task.", float64(mt.BusyDevices))
 	obs.PromFamily(b, "venn_jobs", "Jobs by lifecycle state.", "gauge")

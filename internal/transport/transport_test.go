@@ -100,7 +100,13 @@ func TestStreamEndToEnd(t *testing.T) {
 			t.Error("no HTTP traffic was sent, http rate must be absent")
 		}
 	}
+	// The writer counts a frame after its write returns, so the client can
+	// read the last reply before the count lands; wait for it.
 	tel := ts.StreamTelemetry()
+	for deadline := time.Now().Add(2 * time.Second); tel.FramesIn != tel.FramesOut && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		tel = ts.StreamTelemetry()
+	}
 	if tel.FramesIn != tel.FramesOut {
 		t.Errorf("every request frame must be answered: in=%d out=%d", tel.FramesIn, tel.FramesOut)
 	}
