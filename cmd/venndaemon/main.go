@@ -29,9 +29,8 @@
 // high-volume agents should prefer it (see the README's Transports
 // section). Both transports drive one scheduler core. The listener runs
 // -stream-shards SO_REUSEPORT accept loops (default GOMAXPROCS) so the
-// stream path scales across cores, and -max-wire-version pins the protocol
-// version ceiling (1 emulates a pre-v2 daemon: JSON payloads only; see the
-// README's Wire protocol section).
+// stream path scales across cores. Clients must open with a hello that
+// offers wire version 2 (see the README's Wire protocol section).
 //
 // Federation: -peers federates this daemon with others into one serving
 // fleet (see the README's Federation section). Device ownership is sharded
@@ -162,7 +161,6 @@ func main() {
 		maxBody      = flag.Int64("max-body-bytes", 0, "HTTP single-item request body bound in bytes (0 = default 1MiB)")
 		window       = flag.Int("stream-window", 0, "max in-flight frames per stream connection (0 = default)")
 		streamShards = flag.Int("stream-shards", 0, "SO_REUSEPORT accept shards for the stream listener (0 = GOMAXPROCS, 1 = single listener)")
-		maxWireVer   = flag.Int("max-wire-version", 0, "cap the stream protocol version served and offered to peers (0 = newest, 1 = pre-v2 JSON only)")
 		peers        = flag.String("peers", "", "comma-separated stream addresses of every cluster member (enables federation; requires -stream-addr)")
 		nodeID       = flag.String("node-id", "", "this node's member ID in -peers (default: the -stream-addr value)")
 		vnodes       = flag.Int("vnodes", 0, "virtual nodes per member on the ownership ring (0 = default 128)")
@@ -260,12 +258,6 @@ func main() {
 	})
 	defer m.StopShadows()
 
-	if *maxWireVer < 0 || *maxWireVer > int(transport.MaxVersion) {
-		fmt.Fprintf(os.Stderr, "venndaemon: -max-wire-version %d out of range (1..%d)\n", *maxWireVer, transport.MaxVersion)
-		stopProfile()
-		os.Exit(1)
-	}
-
 	var streamFailed atomic.Bool
 	var streamSrv *transport.Server
 	acceptShards := *streamShards
@@ -273,7 +265,7 @@ func main() {
 		acceptShards = runtime.GOMAXPROCS(0)
 	}
 	if *streamAddr != "" {
-		streamSrv = transport.NewServer(m, transport.Options{Window: *window, MaxVersion: byte(*maxWireVer)})
+		streamSrv = transport.NewServer(m, transport.Options{Window: *window})
 		go func() {
 			if err := streamSrv.ListenAndServeSharded(*streamAddr, acceptShards); err != nil && !errors.Is(err, transport.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "venndaemon: stream listener:", err)
@@ -296,10 +288,9 @@ func main() {
 		}
 		var err error
 		clu, err = cluster.New(m, cluster.Config{
-			SelfID:         self,
-			Peers:          strings.Split(*peers, ","),
-			VNodes:         *vnodes,
-			MaxWireVersion: *maxWireVer,
+			SelfID: self,
+			Peers:  strings.Split(*peers, ","),
+			VNodes: *vnodes,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "venndaemon:", err)
@@ -340,9 +331,6 @@ func main() {
 	}
 	if *streamAddr != "" {
 		fmt.Printf(" stream=%s shards=%d", *streamAddr, acceptShards)
-	}
-	if *maxWireVer != 0 {
-		fmt.Printf(" max-wire-version=%d", *maxWireVer)
 	}
 	if *obsSample != 0 {
 		fmt.Printf(" obs-sample=%d", *obsSample)

@@ -5,9 +5,8 @@
 // the repo's continuous measurement of the wall-clock serving path — CI runs
 // a short smoke pass on every PR, and the -compare mode records the ladder:
 // the single-lock one-request-per-check-in baseline, the batched+sharded
-// HTTP path, the stream transport pinned to wire protocol v1 (JSON
-// payloads), the stream transport at v2 (binary payloads), the same v2
-// stream under demand-heavy traffic (stream-v2-contended: a feeder keeps a
+// HTTP path, the binary stream transport, the same stream under
+// demand-heavy traffic (stream-v2-contended: a feeder keeps a
 // target fraction of check-ins winning assignments, so the run measures the
 // contended core commit pipeline instead of the lock-free surplus path), a
 // two-daemon federation over that stream transport — all pinned to
@@ -83,7 +82,6 @@ func main() {
 		batch       = flag.Int("batch", 64, "check-ins per batch request (1 = unbatched single endpoint)")
 		conns       = flag.Int("conns", 0, "concurrent load workers (0 = 4x CPUs, capped at 64)")
 		streamCns   = flag.Int("stream-conns", 0, "stream connections to multiplex workers over (0 = workers/2, min 1)")
-		wireVer     = flag.Int("wire-version", 0, "cap the stream wire protocol version offered by clients (0 = newest, 1 = JSON payloads)")
 		streamShrds = flag.Int("stream-shards", 0, "SO_REUSEPORT accept shards for self-hosted stream listeners (0 = 1 listener)")
 		topology    = flag.Bool("topology", true, "ring-aware clients in cluster modes: fetch the daemons' topology and send each batch item straight to its owner (false = seed-only clients, exercising the server-side forward path)")
 		jobs        = flag.Int("jobs", 8, "CL jobs to register (per federation member in cluster mode)")
@@ -97,7 +95,7 @@ func main() {
 		abFlag      = flag.String("ab", "", "policyA,policyB: sequential self-hosted A/B replay of identical seeded traffic with a JCT/throughput/fairness delta table")
 		seed        = flag.Int64("seed", 1, "random seed for the synthetic fleet")
 		out         = flag.String("out", "", "write a JSON benchmark report to this file")
-		compare     = flag.Bool("compare", false, "self-host and record the ladder: single-lock HTTP, batched+sharded HTTP, stream at wire v1, stream at v2, 2-daemon federation (all at GOMAXPROCS=1), plus a multi-core stream rung on multi-core hosts")
+		compare     = flag.Bool("compare", false, "self-host and record the ladder: single-lock HTTP, batched+sharded HTTP, stream, demand-heavy stream, 2-daemon federation (all at GOMAXPROCS=1), plus a multi-core stream rung on multi-core hosts")
 		obsSample   = flag.Int("obs-sample", 0, "request-span sampling for self-hosted daemons: 1 in N requests (0 = server default 64, negative disables spans)")
 		pprofSrv    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile of the load run(s) to this file")
@@ -183,17 +181,12 @@ func main() {
 		UnixTime:  time.Now().Unix(),
 	}
 
-	if *wireVer < 0 || *wireVer > int(transport.MaxVersion) {
-		fmt.Fprintf(os.Stderr, "vennload: -wire-version %d out of range (1..%d)\n", *wireVer, transport.MaxVersion)
-		os.Exit(2)
-	}
-
 	base := loadConfig{
 		Agents: *agents, Conns: *conns, StreamConns: *streamCns, Duration: *duration,
 		Jobs: *jobs, Demand: *demand, DemandFrac: *demandFrac, Rounds: *rounds,
 		Category: *category, Seed: *seed,
 		Policy: *polName, Shadow: shadowList,
-		WireVersion: *wireVer, StreamShards: *streamShrds, ObsSample: *obsSample,
+		StreamShards: *streamShrds, ObsSample: *obsSample,
 	}
 	switch {
 	case *abFlag != "":
@@ -244,17 +237,11 @@ func main() {
 		batched := base
 		batched.Mode, batched.Transport, batched.Shards, batched.Batch, batched.Gomaxprocs = "batched", "http", *shards, max(*batch, 2), 1
 		report.Runs = append(report.Runs, runSelfHosted(batched))
-		// Rung 3: same batching over the persistent stream, capped to wire
-		// protocol v1 (JSON payloads) — the pre-v2 stream path.
-		streamV1 := base
-		streamV1.Mode, streamV1.Transport, streamV1.Shards, streamV1.Batch, streamV1.Gomaxprocs = "stream-v1", "stream", *shards, max(*batch, 2), 1
-		streamV1.WireVersion = 1
-		report.Runs = append(report.Runs, runSelfHosted(streamV1))
-		// Rung 4: the same stream at wire v2 (binary payloads).
+		// Rung 3: same batching over the persistent binary stream.
 		stream := base
 		stream.Mode, stream.Transport, stream.Shards, stream.Batch, stream.Gomaxprocs = "stream", "stream", *shards, max(*batch, 2), 1
 		report.Runs = append(report.Runs, runSelfHosted(stream))
-		// Rung 4b: the same v2 stream under demand-heavy traffic. A feeder
+		// Rung 3b: the same stream under demand-heavy traffic. A feeder
 		// keeps fresh job arrivals flowing (daily budget lifted) so a target
 		// fraction of check-ins wins an assignment and reports back; while
 		// demand is open every check-in commits through the scheduler core,
@@ -267,7 +254,7 @@ func main() {
 			contended.DemandFrac = defaultContendedFrac
 		}
 		report.Runs = append(report.Runs, runSelfHosted(contended))
-		// Rung 5: a federation of stream daemons sharing the fleet by
+		// Rung 4: a federation of stream daemons sharing the fleet by
 		// consistent-hash ownership, agents spread across all members.
 		// Seed-only clients, so roughly half of all traffic crosses the
 		// server-side forward path — this rung keeps the forwarded number
@@ -280,13 +267,13 @@ func main() {
 		clus.Mode, clus.Transport, clus.Shards, clus.Batch, clus.ClusterNodes = "cluster", "stream", *shards, max(*batch, 2), nodes
 		clus.Gomaxprocs = 1
 		report.Runs = append(report.Runs, runSelfHostedCluster(clus))
-		// Rung 5b: the same federation driven by ring-aware clients
+		// Rung 4b: the same federation driven by ring-aware clients
 		// (OpTopology): items go straight to their owners and the forward
 		// path idles. This is the headline cluster number.
 		direct := clus
 		direct.Mode, direct.Topology = "cluster-direct", true
 		report.Runs = append(report.Runs, runSelfHostedCluster(direct))
-		// Rung 6 (multi-core hosts only): the v2 stream again at full
+		// Rung 5 (multi-core hosts only): the stream again at full
 		// GOMAXPROCS with one SO_REUSEPORT accept shard per core.
 		if runtime.NumCPU() > 1 {
 			mc := base
@@ -306,7 +293,7 @@ func main() {
 			return 0
 		}
 		singleRate, batchedRate := rate("single"), rate("batched")
-		streamV1Rate, streamRate := rate("stream-v1"), rate("stream")
+		streamRate := rate("stream")
 		contendedRate := rate("stream-v2-contended")
 		clusterRate, directRate, mcRate := rate("cluster"), rate("cluster-direct"), rate("stream-mc")
 		if singleRate > 0 {
@@ -318,10 +305,6 @@ func main() {
 		if batchedRate > 0 {
 			report.SpeedupStreamVsBatched = streamRate / batchedRate
 			fmt.Printf("speedup (stream vs batched HTTP):              %.2fx\n", report.SpeedupStreamVsBatched)
-		}
-		if streamV1Rate > 0 {
-			report.SpeedupStreamV2VsV1 = streamRate / streamV1Rate
-			fmt.Printf("speedup (stream wire v2 vs v1):                %.2fx\n", report.SpeedupStreamV2VsV1)
 		}
 		if streamRate > 0 && contendedRate > 0 {
 			report.ContendedVsStream = contendedRate / streamRate
@@ -435,7 +418,6 @@ type loadConfig struct {
 	Agents        int
 	Conns         int
 	StreamConns   int  // 0 = Conns/2, min 1
-	WireVersion   int  // stream wire version cap offered by clients; 0 = newest
 	StreamShards  int  // self-hosted stream listener accept shards; 0 = 1
 	Gomaxprocs    int  // pin runtime.GOMAXPROCS for the run; 0 = leave as is
 	ClusterNodes  int  // federation member count (cluster mode only)
@@ -527,7 +509,6 @@ type runResult struct {
 	Agents           int              `json:"agents"`
 	Conns            int              `json:"conns"`
 	StreamConns      int              `json:"stream_conns,omitempty"`
-	WireVersion      int              `json:"wire_version,omitempty"`
 	StreamShards     int              `json:"stream_shards,omitempty"`
 	GOMAXPROCS       int              `json:"gomaxprocs,omitempty"`
 	Batch            int              `json:"batch"`
@@ -574,15 +555,12 @@ type benchReport struct {
 	SpeedupStreamVsSingle  float64     `json:"speedup_stream_vs_single,omitempty"`
 	SpeedupStreamVsBatched float64     `json:"speedup_stream_vs_batched,omitempty"`
 	// SpeedupClusterVsStream compares the cluster-direct rung (ring-aware
-	// clients, OpTopology routing) to the single-daemon v2 stream rung — the
+	// clients, OpTopology routing) to the single-daemon stream rung — the
 	// headline federation number. SpeedupClusterFwdVsStream keeps the
 	// seed-only clients' ratio (every misrouted item crossing the forward
 	// path) that this field used to hold.
 	SpeedupClusterVsStream    float64 `json:"speedup_cluster_vs_stream,omitempty"`
 	SpeedupClusterFwdVsStream float64 `json:"speedup_cluster_fwd_vs_stream,omitempty"`
-	// SpeedupStreamV2VsV1 compares the stream rung (wire v2, binary
-	// payloads) to stream-v1 (same transport capped to JSON payloads).
-	SpeedupStreamV2VsV1 float64 `json:"speedup_stream_v2_vs_v1,omitempty"`
 	// SpeedupStreamMCVsSingleCore compares the stream-mc rung (full
 	// GOMAXPROCS, per-core listener shards) to the single-core stream rung.
 	SpeedupStreamMCVsSingleCore float64 `json:"speedup_stream_mc_vs_single_core,omitempty"`
@@ -693,9 +671,6 @@ func newStreamClient(addr string, cfg loadConfig) apiClient {
 	opts := []client.Option{
 		client.WithStreamConns(cfg.streamPool()),
 		client.WithTimeout(30 * time.Second),
-	}
-	if cfg.WireVersion > 0 {
-		opts = append(opts, client.WithMaxWireVersion(cfg.WireVersion))
 	}
 	if cfg.Topology {
 		opts = append(opts, client.WithTopology(true))
@@ -1309,10 +1284,6 @@ func runLoad(lanes []lane, cfg loadConfig) runResult {
 	}
 	if cfg.Transport == "stream" {
 		res.StreamConns = cfg.streamPool()
-		res.WireVersion = cfg.WireVersion
-		if res.WireVersion <= 0 {
-			res.WireVersion = int(transport.MaxVersion)
-		}
 	}
 	res.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	if len(latencies) > 0 {

@@ -2,7 +2,6 @@ package client
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"venn/internal/server"
@@ -48,22 +47,13 @@ func (s *StreamClient) ReportBatchForward(rs []server.Report, trace uint64) ([]s
 	return res, err
 }
 
-// ErrRawUnsupported reports that a raw (pre-encoded) forward cannot be sent
-// because the connection negotiated a pre-v2 protocol — the raw bytes are in
-// the v2 layout the peer does not speak. Callers fall back to the typed
-// forward, which re-encodes per the negotiated version.
-var ErrRawUnsupported = errors.New("client: raw forward requires wire protocol v2")
-
 // rawForwardEncoder frames a pre-encoded batch: uvarint item count followed
 // by the already-encoded items, exactly the canonical v2 batch-request
 // layout — built into a pooled buffer, relayed without decoding.
-func rawForwardEncoder(items []byte, n int) reqEncoder {
-	return func(ver byte) ([]byte, byte, error) {
-		if ver < transport.Version2 {
-			return nil, 0, ErrRawUnsupported
-		}
+func rawForwardEncoder(items []byte, n int) func() ([]byte, error) {
+	return func() ([]byte, error) {
 		payload := binary.AppendUvarint(transport.GetBuf(len(items)+binary.MaxVarintLen64), uint64(n))
-		return append(payload, items...), transport.Version2, nil
+		return append(payload, items...), nil
 	}
 }
 
@@ -71,7 +61,7 @@ func rawForwardEncoder(items []byte, n int) reqEncoder {
 // concatenated v2 wire bytes) to their owning daemon in one hop frame.
 // Results[i] answers item i in buffer order.
 func (s *StreamClient) CheckInBatchForwardRaw(items []byte, n int, trace uint64) ([]server.CheckInResult, error) {
-	buf, _, _, err := s.doTrace(transport.OpCheckInBatch|transport.HopFlag, trace, rawForwardEncoder(items, n))
+	buf, _, err := s.do(transport.OpCheckInBatch|transport.HopFlag, trace, transport.Version2, rawForwardEncoder(items, n))
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +78,7 @@ func (s *StreamClient) CheckInBatchForwardRaw(items []byte, n int, trace uint64)
 // ReportBatchForwardRaw relays n already-encoded report items to their
 // owning daemon in one hop frame. Results[i] answers item i in buffer order.
 func (s *StreamClient) ReportBatchForwardRaw(items []byte, n int, trace uint64) ([]server.ReportResult, error) {
-	buf, _, _, err := s.doTrace(transport.OpReportBatch|transport.HopFlag, trace, rawForwardEncoder(items, n))
+	buf, _, err := s.do(transport.OpReportBatch|transport.HopFlag, trace, transport.Version2, rawForwardEncoder(items, n))
 	if err != nil {
 		return nil, err
 	}

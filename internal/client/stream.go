@@ -46,9 +46,8 @@ const (
 
 // NewStream creates a stream client for the daemon's stream listener at
 // addr (e.g. "localhost:8081"). Connections are dialed lazily on first use
-// and redialed automatically after failures; each dial negotiates the wire
-// protocol version (v2 binary payloads against current daemons, v1 JSON
-// against old ones).
+// and redialed automatically after failures; each dial opens with a hello
+// that requires the daemon to grant wire version 2.
 //
 // Deprecated: use New — a bare host:port address (or
 // WithTransport(TransportStream)) selects this same transport. NewStream
@@ -64,7 +63,7 @@ func NewStream(addr string, opts ...Option) *StreamClient {
 func newStreamClient(addr string, cfg config) *StreamClient {
 	sc := &StreamClient{conns: make([]*streamConn, cfg.streamConns)}
 	for i := range sc.conns {
-		sc.conns[i] = &streamConn{addr: addr, timeout: cfg.timeout, maxVer: byte(min(cfg.maxWireVersion, int(transport.MaxVersion)))}
+		sc.conns[i] = &streamConn{addr: addr, timeout: cfg.timeout}
 	}
 	if cfg.topology {
 		sc.topo = newTopoState(sc, addr, cfg)
@@ -90,14 +89,7 @@ func (s *StreamClient) Close() error {
 // Ping round-trips an empty frame — a cheap reachability and liveness
 // probe.
 func (s *StreamClient) Ping() error {
-	_, _, _, err := s.do(transport.OpPing, jsonPayload(nil))
-	return err
-}
-
-// jsonPayload builds the encoder for the low-volume opcodes, which ride in
-// v1 (JSON) frames regardless of the negotiated version.
-func jsonPayload(buf []byte) reqEncoder {
-	return func(byte) ([]byte, byte, error) { return buf, transport.Version1, nil }
+	return s.doJSON(transport.OpPing, nil, nil)
 }
 
 // CheckIn announces device availability and returns the assignment.
@@ -111,23 +103,13 @@ func (s *StreamClient) CheckIn(ci server.CheckIn) (server.Assignment, error) {
 
 func (s *StreamClient) checkInOp(op byte, ci server.CheckIn, trace uint64) (server.Assignment, bool, error) {
 	var asg server.Assignment
-	resp, ver, fwd, err := s.doTrace(op, trace, func(ver byte) ([]byte, byte, error) {
-		if ver >= transport.Version2 {
-			b, err := ci.AppendBinary(transport.GetBuf(64))
-			return b, transport.Version2, err
-		}
-		b, err := ci.MarshalJSON()
-		return b, transport.Version1, err
+	resp, fwd, err := s.do(op, trace, transport.Version2, func() ([]byte, error) {
+		return ci.AppendBinary(transport.GetBuf(64))
 	})
 	if err != nil {
 		return asg, fwd, err
 	}
-	if ver >= transport.Version2 {
-		err = asg.UnmarshalBinary(resp)
-	} else {
-		err = asg.UnmarshalJSON(resp)
-	}
-	return asg, fwd, err
+	return asg, fwd, asg.UnmarshalBinary(resp)
 }
 
 // CheckInBatch announces availability for a whole batch of devices in one
@@ -143,24 +125,14 @@ func (s *StreamClient) CheckInBatch(cis []server.CheckIn) ([]server.CheckInResul
 
 func (s *StreamClient) checkInBatchOp(op byte, cis []server.CheckIn, trace uint64) ([]server.CheckInResult, bool, error) {
 	req := server.CheckInBatchRequest{CheckIns: cis}
-	buf, ver, fwd, err := s.doTrace(op, trace, func(ver byte) ([]byte, byte, error) {
-		if ver >= transport.Version2 {
-			b, err := req.AppendBinary(transport.GetBuf(256))
-			return b, transport.Version2, err
-		}
-		b, err := req.MarshalJSON()
-		return b, transport.Version1, err
+	buf, fwd, err := s.do(op, trace, transport.Version2, func() ([]byte, error) {
+		return req.AppendBinary(transport.GetBuf(256))
 	})
 	if err != nil {
 		return nil, fwd, err
 	}
 	var resp server.CheckInBatchResponse
-	if ver >= transport.Version2 {
-		err = resp.UnmarshalBinary(buf)
-	} else {
-		err = resp.UnmarshalJSON(buf)
-	}
-	if err != nil {
+	if err := resp.UnmarshalBinary(buf); err != nil {
 		return nil, fwd, err
 	}
 	if len(resp.Results) != len(cis) {
@@ -179,13 +151,8 @@ func (s *StreamClient) Report(r server.Report) error {
 }
 
 func (s *StreamClient) reportOp(op byte, r server.Report, trace uint64) (bool, error) {
-	_, _, fwd, err := s.doTrace(op, trace, func(ver byte) ([]byte, byte, error) {
-		if ver >= transport.Version2 {
-			b, err := r.AppendBinary(transport.GetBuf(64))
-			return b, transport.Version2, err
-		}
-		b, err := r.MarshalJSON()
-		return b, transport.Version1, err
+	_, fwd, err := s.do(op, trace, transport.Version2, func() ([]byte, error) {
+		return r.AppendBinary(transport.GetBuf(64))
 	})
 	return fwd, err
 }
@@ -202,24 +169,14 @@ func (s *StreamClient) ReportBatch(rs []server.Report) ([]server.ReportResult, e
 
 func (s *StreamClient) reportBatchOp(op byte, rs []server.Report, trace uint64) ([]server.ReportResult, bool, error) {
 	req := server.ReportBatchRequest{Reports: rs}
-	buf, ver, fwd, err := s.doTrace(op, trace, func(ver byte) ([]byte, byte, error) {
-		if ver >= transport.Version2 {
-			b, err := req.AppendBinary(transport.GetBuf(256))
-			return b, transport.Version2, err
-		}
-		b, err := req.MarshalJSON()
-		return b, transport.Version1, err
+	buf, fwd, err := s.do(op, trace, transport.Version2, func() ([]byte, error) {
+		return req.AppendBinary(transport.GetBuf(256))
 	})
 	if err != nil {
 		return nil, fwd, err
 	}
 	var resp server.ReportBatchResponse
-	if ver >= transport.Version2 {
-		err = resp.UnmarshalBinary(buf)
-	} else {
-		err = resp.UnmarshalJSON(buf)
-	}
-	if err != nil {
+	if err := resp.UnmarshalBinary(buf); err != nil {
 		return nil, fwd, err
 	}
 	if len(resp.Results) != len(rs) {
@@ -281,9 +238,9 @@ func (s *StreamClient) WaitForJob(id int, poll, timeout time.Duration) (server.J
 	}
 }
 
-// doJSON is do for the low-volume ops: reflective encode of in (nil for an
+// doJSON is do for the control ops: reflective encode of in (nil for an
 // empty payload), reflective decode into out. These opcodes have no binary
-// layout and always ride in v1 frames.
+// layout and ride in v1 (JSON) frames.
 func (s *StreamClient) doJSON(op byte, in, out any) error {
 	var payload []byte
 	if in != nil {
@@ -292,7 +249,7 @@ func (s *StreamClient) doJSON(op byte, in, out any) error {
 			return err
 		}
 	}
-	buf, _, _, err := s.do(op, jsonPayload(payload))
+	buf, _, err := s.do(op, 0, transport.Version1, func() ([]byte, error) { return payload, nil })
 	if err != nil {
 		return err
 	}
@@ -302,32 +259,24 @@ func (s *StreamClient) doJSON(op byte, in, out any) error {
 	return json.Unmarshal(buf, out)
 }
 
-// reqEncoder builds a request payload given the connection's negotiated
-// protocol version, returning the payload and the frame version that
-// matches its encoding. Ownership of the payload passes to the send path:
-// once the frame is written (or the write fails) the buffer is recycled
-// into the transport's frame pool, so encoders should build into
+// do sends one request frame of version ver over a pooled connection and
+// waits for its response, returning the response payload and whether the
+// response carried the forwarded flag (HopFlag on a non-hop request's
+// response: the daemon federation-hopped at least one item, i.e. a
+// ring-aware caller's topology is stale) — or the decoded error frame.
+//
+// enc builds the request payload. Ownership of the payload passes to the
+// send path: once the frame is written (or the write fails) the buffer is
+// recycled into the transport's frame pool, so encoders should build into
 // transport.GetBuf and must not retain the slice.
-type reqEncoder func(negotiated byte) ([]byte, byte, error)
-
-// do sends one request frame over a pooled connection and waits for its
-// response, returning the response payload, the version of the response
-// frame (which dictates how to decode it), and whether the response carried
-// the forwarded flag (HopFlag on a non-hop request's response: the daemon
-// federation-hopped at least one item, i.e. a ring-aware caller's topology
-// is stale) — or the decoded error frame.
-func (s *StreamClient) do(op byte, enc reqEncoder) ([]byte, byte, bool, error) {
-	return s.doTrace(op, 0, enc)
-}
-
-// doTrace is do with an optional trace context: a nonzero trace (the
-// forwarding daemon's sampled span ID) is prepended to the payload and
-// announced via TraceFlag on the opcode, so the receiving daemon records the
-// hop under the same trace ID. Silently dropped on v1 connections — the flag
-// and prefix are v2 vocabulary.
-func (s *StreamClient) doTrace(op byte, trace uint64, enc reqEncoder) ([]byte, byte, bool, error) {
+//
+// A nonzero trace (the forwarding daemon's sampled span ID) is prepended to
+// the payload and announced via TraceFlag on the opcode, so the receiving
+// daemon records the hop under the same trace ID; only the serving opcodes
+// may carry one.
+func (s *StreamClient) do(op byte, trace uint64, ver byte, enc func() ([]byte, error)) ([]byte, bool, error) {
 	c := s.conns[s.next.Add(1)%uint64(len(s.conns))]
-	return c.do(op, trace, enc)
+	return c.do(op, trace, ver, enc)
 }
 
 // streamConn is one pooled connection: a lazily dialed socket, a reader
@@ -337,7 +286,6 @@ func (s *StreamClient) doTrace(op byte, trace uint64, enc reqEncoder) ([]byte, b
 type streamConn struct {
 	addr    string
 	timeout time.Duration
-	maxVer  byte // highest protocol version to negotiate
 	// onPush, when set, receives unsolicited OpTopology|RespFlag frames
 	// (request ID 0) — the server's topology-change notifications. Called on
 	// the read-loop goroutine; must not block.
@@ -346,7 +294,6 @@ type streamConn struct {
 	mu      sync.Mutex
 	c       net.Conn
 	bw      *bufio.Writer
-	ver     byte // negotiated protocol version of the live connection
 	pending map[uint32]chan streamResp
 	nextID  uint32
 	gen     uint64
@@ -359,8 +306,8 @@ type streamResp struct {
 	err     error
 }
 
-// connect dials under mu if needed, negotiates the protocol version, and
-// starts the reader for the new connection.
+// connectLocked dials under mu if needed, runs the hello, and starts the
+// reader for the new connection.
 func (sc *streamConn) connectLocked() error {
 	if sc.c != nil {
 		return nil
@@ -372,66 +319,59 @@ func (sc *streamConn) connectLocked() error {
 	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
-	ver, br, err := negotiate(c, sc.timeout, sc.maxVer)
+	br, err := hello(c, sc.timeout)
 	if err != nil {
 		c.Close()
 		// The hello never became a caller-visible request, so this is a
-		// pre-send failure: safe to retry elsewhere.
+		// pre-send failure: safe to retry elsewhere — and a daemon that
+		// refuses v2 is refused here, before any request is sent.
 		return &NotSentError{Err: fmt.Errorf("client: stream hello %s: %w", sc.addr, err)}
 	}
 	sc.c = c
 	sc.bw = bufio.NewWriterSize(c, 64<<10)
-	sc.ver = ver
 	sc.pending = make(map[uint32]chan streamResp)
 	sc.gen++
 	go sc.readLoop(sc.gen, c, br)
 	return nil
 }
 
-// negotiate performs the synchronous OpHello exchange on a fresh
-// connection, before any pipelined traffic: it announces maxVer and returns
-// the version the server selected. A pre-v2 daemon answers OpError
-// ("unknown opcode"), which downgrades the connection to v1 — the JSON wire
-// format those daemons speak. When maxVer is 1 the exchange is skipped
-// entirely (old daemons would treat the hello as an error, and new ones
-// default to v1 per frame anyway). The returned reader carries any bytes
-// buffered past the hello response and must be handed to the read loop.
-func negotiate(c net.Conn, timeout time.Duration, maxVer byte) (byte, *bufio.Reader, error) {
+// hello performs the synchronous OpHello exchange on a fresh connection,
+// before any pipelined traffic: it offers version 2 and requires the server
+// to grant exactly that. Any other answer — a refusal, or a pre-v2 daemon's
+// OpError for an unknown opcode — fails. The returned reader carries any
+// bytes buffered past the hello response and must be handed to the read
+// loop.
+func hello(c net.Conn, timeout time.Duration) (*bufio.Reader, error) {
 	br := bufio.NewReaderSize(c, 64<<10)
-	if maxVer < transport.Version2 {
-		return transport.Version1, br, nil
-	}
 	_ = c.SetDeadline(time.Now().Add(timeout))
 	defer func() { _ = c.SetDeadline(time.Time{}) }()
-	payload, err := json.Marshal(transport.HelloRequest{MaxVersion: int(maxVer)})
+	payload, err := json.Marshal(transport.HelloRequest{MaxVersion: int(transport.Version2)})
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	buf := make([]byte, transport.HeaderSize, transport.HeaderSize+len(payload))
 	transport.PutHeader(buf, transport.Version1, transport.OpHello, 0, len(payload))
 	if _, err := c.Write(append(buf, payload...)); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	fr, err := transport.ReadFrame(br, defaultClientMaxPayload, transport.MaxVersion)
+	fr, err := transport.ReadFrame(br, defaultClientMaxPayload)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	switch fr.Op {
 	case transport.OpHello | transport.RespFlag:
 		var hr transport.HelloResponse
 		if err := json.Unmarshal(fr.Payload, &hr); err != nil {
-			return 0, nil, fmt.Errorf("malformed hello response: %w", err)
+			return nil, fmt.Errorf("malformed hello response: %w", err)
 		}
-		v := byte(hr.Version)
-		if v < transport.Version1 || v > maxVer {
-			return 0, nil, fmt.Errorf("server selected unusable version %d", hr.Version)
+		if hr.Version != int(transport.Version2) {
+			return nil, fmt.Errorf("server granted wire version %d, want 2", hr.Version)
 		}
-		return v, br, nil
+		return br, nil
 	case transport.OpError:
-		// Pre-v2 daemon: OpHello is an unknown opcode there. Fall back.
-		return transport.Version1, br, nil
+		return nil, fmt.Errorf("server refused the v2 hello: %w", decodeStreamError(fr.Ver, fr.Payload))
 	default:
-		return 0, nil, fmt.Errorf("unexpected hello response opcode %#x", fr.Op)
+		return nil, fmt.Errorf("unexpected hello response opcode %#x", fr.Op)
 	}
 }
 
@@ -440,7 +380,7 @@ func negotiate(c net.Conn, timeout time.Duration, maxVer byte) (byte, *bufio.Rea
 // (the next call redials).
 func (sc *streamConn) readLoop(gen uint64, c net.Conn, br *bufio.Reader) {
 	for {
-		fr, err := transport.ReadFrame(br, defaultClientMaxPayload, transport.MaxVersion)
+		fr, err := transport.ReadFrame(br, defaultClientMaxPayload)
 		if err != nil {
 			sc.teardown(gen, fmt.Errorf("client: stream connection lost: %w", err))
 			return
@@ -496,26 +436,27 @@ func (sc *streamConn) close(err error) {
 	sc.teardown(gen, err)
 }
 
-func (sc *streamConn) do(op byte, trace uint64, enc reqEncoder) ([]byte, byte, bool, error) {
+func (sc *streamConn) do(op byte, trace uint64, ver byte, enc func() ([]byte, error)) ([]byte, bool, error) {
 	ch := make(chan streamResp, 1)
 
 	sc.mu.Lock()
 	if err := sc.connectLocked(); err != nil {
 		sc.mu.Unlock()
-		return nil, 0, false, err
+		return nil, false, err
 	}
-	// The payload encoding depends on the version this connection
-	// negotiated, so it is built under mu, after connect. The codecs are
+	// The payload is built under mu, after connect, so a failed dial never
+	// pays for an encode. Keep it here: moving the encode ahead of the lock
+	// read slower on perfbench's contended check-in p50. The codecs are
 	// allocation-light appends; the write syscall below dominates.
-	payload, frameVer, err := enc(sc.ver)
+	payload, err := enc()
 	if err != nil {
 		sc.mu.Unlock()
-		return nil, 0, false, err
+		return nil, false, err
 	}
 	// TraceFlag rides only on the wire opcode: the server strips it before
 	// building the response, so response matching below uses the bare op.
 	wireOp := op
-	if trace != 0 && frameVer >= transport.Version2 {
+	if trace != 0 {
 		payload = transport.PrependTrace(payload, trace, true)
 		wireOp |= transport.TraceFlag
 	}
@@ -527,13 +468,13 @@ func (sc *streamConn) do(op byte, trace uint64, enc reqEncoder) ([]byte, byte, b
 	// the shared buffered writer coalesces them. The write deadline keeps a
 	// wedged peer from holding the lock forever.
 	_ = sc.c.SetWriteDeadline(time.Now().Add(sc.timeout))
-	err = transport.WriteFrame(sc.bw, frameVer, wireOp, id, payload)
+	err = transport.WriteFrame(sc.bw, ver, wireOp, id, payload)
 	if err == nil {
 		err = sc.bw.Flush()
 	}
 	sc.mu.Unlock()
 	// The buffered writer has copied (or directly written) the payload by
-	// now, success or not — recycle it per the reqEncoder contract.
+	// now, success or not — recycle it per do's encoder contract.
 	transport.PutBuf(payload)
 	if err != nil {
 		sc.teardown(gen, fmt.Errorf("client: stream write: %w", err))
@@ -543,7 +484,7 @@ func (sc *streamConn) do(op byte, trace uint64, enc reqEncoder) ([]byte, byte, b
 		case <-ch:
 		default:
 		}
-		return nil, 0, false, &NotSentError{Err: fmt.Errorf("client: stream write: %w", err)}
+		return nil, false, &NotSentError{Err: fmt.Errorf("client: stream write: %w", err)}
 	}
 
 	timer := time.NewTimer(sc.timeout)
@@ -551,10 +492,10 @@ func (sc *streamConn) do(op byte, trace uint64, enc reqEncoder) ([]byte, byte, b
 	select {
 	case resp := <-ch:
 		if resp.err != nil {
-			return nil, 0, false, resp.err
+			return nil, false, resp.err
 		}
 		if resp.op == transport.OpError {
-			return nil, 0, false, decodeStreamError(resp.ver, resp.payload)
+			return nil, false, decodeStreamError(resp.ver, resp.payload)
 		}
 		// On a non-hop request, HopFlag on the response opcode is the
 		// forwarded flag: the daemon federation-hopped at least one item.
@@ -563,16 +504,16 @@ func (sc *streamConn) do(op byte, trace uint64, enc reqEncoder) ([]byte, byte, b
 		if op&transport.HopFlag == 0 && resp.op == op|transport.RespFlag|transport.HopFlag {
 			forwarded = true
 		} else if resp.op != op|transport.RespFlag {
-			return nil, 0, false, fmt.Errorf("client: stream response opcode %#x for request %#x", resp.op, op)
+			return nil, false, fmt.Errorf("client: stream response opcode %#x for request %#x", resp.op, op)
 		}
-		return resp.payload, resp.ver, forwarded, nil
+		return resp.payload, forwarded, nil
 	case <-timer.C:
 		sc.mu.Lock()
 		if gen == sc.gen && sc.pending != nil {
 			delete(sc.pending, id)
 		}
 		sc.mu.Unlock()
-		return nil, 0, false, fmt.Errorf("client: stream request timed out after %v", sc.timeout)
+		return nil, false, fmt.Errorf("client: stream request timed out after %v", sc.timeout)
 	}
 }
 

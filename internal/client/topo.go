@@ -24,8 +24,8 @@
 // rejections (StreamError) are authoritative answers and are never retried.
 //
 // Degradation: a seed daemon that answers OpTopology with CodeUnavailable
-// (no federation layer) or that negotiated v1 permanently disables the mode
-// — the client behaves exactly like a plain StreamClient from then on.
+// (no federation layer) permanently disables the mode — the client behaves
+// exactly like a plain StreamClient from then on.
 
 package client
 
@@ -37,10 +37,6 @@ import (
 	"venn/internal/server"
 	"venn/internal/transport"
 )
-
-// errTopoV1 marks a topology fetch attempted over a v1 connection; the mode
-// disables itself (OpTopology is a v2-era opcode).
-var errTopoV1 = errors.New("client: topology requires wire protocol v2")
 
 // topoView is one immutable routing view: the ring at one epoch plus the
 // member clients to send on. Swapped wholesale under topoState.mu.
@@ -141,19 +137,14 @@ func (t *topoState) ensureView() *topoView {
 // fetch performs one OpTopology round trip and installs the result. The
 // caller must have set t.fetching; fetch clears it.
 func (t *topoState) fetch() {
-	payload, _, _, err := t.root.do(transport.OpTopology, func(ver byte) ([]byte, byte, error) {
-		if ver < transport.Version2 {
-			return nil, 0, errTopoV1
-		}
-		return nil, transport.Version2, nil
-	})
+	payload, _, err := t.root.do(transport.OpTopology, 0, transport.Version2, func() ([]byte, error) { return nil, nil })
 	disable := false
 	var view *topoView
 	if err != nil {
 		var se *StreamError
-		// A v1 seed or a seed with no federation layer will never serve a
-		// topology; a transport failure might, next time.
-		disable = errors.Is(err, errTopoV1) || errors.As(err, &se)
+		// A seed with no federation layer will never serve a topology; a
+		// transport failure might, next time.
+		disable = errors.As(err, &se)
 	} else {
 		var tp transport.TopologyPayload
 		if tp.UnmarshalBinary(payload) == nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"venn/internal/client"
-	"venn/internal/cluster"
 	"venn/internal/server"
 )
 
@@ -17,43 +16,32 @@ import (
 // merge — which is exactly the surface the relay and the frame-buffer pools
 // attack.
 //
-//	relay/   zero-copy raw relay with pooled buffers (the default)
-//	legacy/  DisableRelay: decode → split → re-encode typed forwarding
+//	relay/   zero-copy raw relay with pooled buffers
 //
-// Compare allocs/op between the two to see the relay's effect; compare
-// relay/ against a pre-pool checkout to see the buffer pools' effect.
+// Compare relay/ against a pre-pool checkout to see the buffer pools'
+// effect.
 func BenchmarkForwardPath(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		disable bool
-	}{
-		{"relay", false},
-		{"legacy", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			nodes := startFederation(b, 2, func(cfg *cluster.Config) {
-				cfg.DisableRelay = bc.disable
-			})
-			c := client.NewStream(nodes[0].addr)
-			defer c.Close()
+	b.Run("relay", func(b *testing.B) {
+		nodes := startFederation(b, 2)
+		c := client.NewStream(nodes[0].addr)
+		defer c.Close()
 
-			batch := make([]server.CheckIn, 128)
-			for i := range batch {
-				batch[i] = server.CheckIn{DeviceID: fmt.Sprintf("bench-dev-%04d", i), CPU: 0.5, Mem: 0.5}
-			}
+		batch := make([]server.CheckIn, 128)
+		for i := range batch {
+			batch[i] = server.CheckIn{DeviceID: fmt.Sprintf("bench-dev-%04d", i), CPU: 0.5, Mem: 0.5}
+		}
 
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.CheckInBatch(batch); err != nil {
-					b.Fatal(err)
-				}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.CheckInBatch(batch); err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			_, out, errs, _ := nodes[0].clu.Counters()
-			if out == 0 || errs != 0 {
-				b.Fatalf("forward path not exercised: out=%d errs=%d", out, errs)
-			}
-		})
-	}
+		}
+		b.StopTimer()
+		_, out, errs, _ := nodes[0].clu.Counters()
+		if out == 0 || errs != 0 {
+			b.Fatalf("forward path not exercised: out=%d errs=%d", out, errs)
+		}
+	})
 }

@@ -28,9 +28,7 @@ const (
 // The Raw variants carry a pre-encoded v2 batch: items is the concatenation
 // of n already-encoded batch items (exactly the bytes that followed the
 // count prefix on the frames they arrived in), relayed verbatim into the hop
-// frame. They return client.ErrRawUnsupported when the peer connection
-// negotiated a pre-v2 protocol, in which case the caller falls back to the
-// typed forward.
+// frame.
 //
 // trace is the originating request's sampled span ID (0 when unsampled): a
 // nonzero trace rides in the hop frame's trace context so the owner records
@@ -75,20 +73,8 @@ type Config struct {
 	// StreamConns is the connection-pool size per peer (default
 	// client.DefaultStreamConns).
 	StreamConns int
-	// MaxWireVersion caps the stream protocol version negotiated with
-	// peers (default: the client's maximum, currently 2). Peers negotiate
-	// independently per connection, so a federation can mix v1-only and v2
-	// daemons — forwarding to an old peer simply downgrades that hop to
-	// JSON payloads.
-	MaxWireVersion int
-	// DisableRelay turns off the zero-copy coalescing forward relay and
-	// falls back to the legacy decode→re-encode forward path (one frame per
-	// misrouted batch per owner). An escape hatch and a benchmark pivot
-	// (BenchmarkForwardPath compares the two); leave it off in production.
-	DisableRelay bool
 	// Dial overrides peer-client construction (tests). nil dials a real
-	// client.StreamClient with Timeout, StreamConns, and MaxWireVersion
-	// applied.
+	// client.StreamClient with Timeout and StreamConns applied.
 	Dial func(addr string) PeerClient
 }
 
@@ -207,14 +193,7 @@ func New(m *server.Manager, cfg Config) (*Cluster, error) {
 	dial := cfg.Dial
 	if dial == nil {
 		dial = func(addr string) PeerClient {
-			opts := []client.Option{
-				client.WithStreamConns(cfg.StreamConns),
-				client.WithTimeout(cfg.Timeout),
-			}
-			if cfg.MaxWireVersion > 0 {
-				opts = append(opts, client.WithMaxWireVersion(cfg.MaxWireVersion))
-			}
-			return client.NewStream(addr, opts...)
+			return client.NewStream(addr, client.WithStreamConns(cfg.StreamConns), client.WithTimeout(cfg.Timeout))
 		}
 	}
 	for _, id := range ring.Members() {
@@ -222,7 +201,8 @@ func New(m *server.Manager, cfg Config) (*Cluster, error) {
 			continue
 		}
 		p := &peer{id: id, c: dial(id)}
-		newPeerRelays(c, p)
+		p.ciRelay = newRelay(c, p, PeerClient.CheckInBatchForwardRaw)
+		p.repRelay = newRelay(c, p, PeerClient.ReportBatchForwardRaw)
 		c.peers = append(c.peers, p)
 	}
 	c.publish()

@@ -27,7 +27,7 @@ type node struct {
 // startFederation spins n daemons on loopback stream listeners, federates
 // them over each other's real addresses, and registers cleanup in reverse
 // dependency order (clusters before listeners).
-func startFederation(t testing.TB, n int, tweak func(*cluster.Config)) []*node {
+func startFederation(t testing.TB, n int) []*node {
 	t.Helper()
 	nodes := make([]*node, n)
 	addrs := make([]string, n)
@@ -48,9 +48,6 @@ func startFederation(t testing.TB, n int, tweak func(*cluster.Config)) []*node {
 			SelfID:         addrs[i],
 			Peers:          addrs,
 			HealthInterval: 50 * time.Millisecond,
-		}
-		if tweak != nil {
-			tweak(&cfg)
 		}
 		clu, err := cluster.New(m, cfg)
 		if err != nil {
@@ -85,7 +82,7 @@ func deviceOwnedBy(t *testing.T, r *cluster.Ring, owner string, tag string) stri
 // test: handler goroutines on the ingress node call into the peer stream
 // pool while the peer's handlers apply them locally.
 func TestFederationTwoDaemonForward(t *testing.T) {
-	nodes := startFederation(t, 2, nil)
+	nodes := startFederation(t, 2)
 	a, b := nodes[0], nodes[1]
 
 	ca := client.NewStream(a.addr)
@@ -186,7 +183,7 @@ func TestFederationTwoDaemonForward(t *testing.T) {
 // TestFederationBatchSplitMergeErrors asserts the split/fan-out/merge path
 // preserves per-item errors at their original batch positions.
 func TestFederationBatchSplitMergeErrors(t *testing.T) {
-	nodes := startFederation(t, 2, nil)
+	nodes := startFederation(t, 2)
 	a, b := nodes[0], nodes[1]
 	ca := client.NewStream(a.addr)
 	defer ca.Close()
@@ -230,7 +227,7 @@ func TestFederationBatchSplitMergeErrors(t *testing.T) {
 // owns the device — it is never forwarded again, so two daemons with
 // disagreeing rings cannot ping-pong a request.
 func TestHopGuard(t *testing.T) {
-	nodes := startFederation(t, 2, nil)
+	nodes := startFederation(t, 2)
 	a, b := nodes[0], nodes[1]
 
 	// A device A owns, forwarded (hop set) to B — as a daemon with a stale
@@ -265,7 +262,7 @@ func TestHopGuard(t *testing.T) {
 // flag is only legal on the four serving opcodes; anything else is a typed
 // invalid rejection, not a crash or a hang.
 func TestHopFlagRejectedOnNonServingOp(t *testing.T) {
-	nodes := startFederation(t, 1, nil)
+	nodes := startFederation(t, 1)
 	conn, err := net.Dial("tcp", nodes[0].addr)
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +275,7 @@ func TestHopFlagRejectedOnNonServingOp(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := transport.ReadFrame(bufio.NewReader(conn), 1<<20, transport.MaxVersion)
+	fr, err := transport.ReadFrame(bufio.NewReader(conn), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +493,7 @@ func TestHealthLoopDownUp(t *testing.T) {
 // TestSingleMemberCluster: a ring of one routes everything locally and
 // never forwards.
 func TestSingleMemberCluster(t *testing.T) {
-	nodes := startFederation(t, 1, nil)
+	nodes := startFederation(t, 1)
 	c := client.NewStream(nodes[0].addr)
 	defer c.Close()
 	results, err := c.CheckInBatch([]server.CheckIn{

@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"venn/internal/client"
 	"venn/internal/obs"
 	"venn/internal/server"
 	"venn/internal/transport"
@@ -74,12 +71,8 @@ type relayBatch[Res any] struct {
 type relay[Res any] struct {
 	c *Cluster
 	p *peer
-	// sendRaw forwards the coalesced items without re-encoding; it returns
-	// client.ErrRawUnsupported when the peer connection negotiated v1, in
-	// which case sendTyped re-sends by decoding the buffer and taking the
-	// typed (version-negotiated) forward path.
-	sendRaw   func(pc PeerClient, items []byte, n int, trace uint64) ([]Res, error)
-	sendTyped func(pc PeerClient, items []byte, n int, trace uint64) ([]Res, error)
+	// sendRaw forwards the coalesced items without re-encoding.
+	sendRaw func(pc PeerClient, items []byte, n int, trace uint64) ([]Res, error)
 
 	mu       sync.Mutex
 	buf      []byte
@@ -90,8 +83,8 @@ type relay[Res any] struct {
 }
 
 func newRelay[Res any](c *Cluster, p *peer,
-	sendRaw, sendTyped func(pc PeerClient, items []byte, n int, trace uint64) ([]Res, error)) *relay[Res] {
-	return &relay[Res]{c: c, p: p, sendRaw: sendRaw, sendTyped: sendTyped}
+	sendRaw func(pc PeerClient, items []byte, n int, trace uint64) ([]Res, error)) *relay[Res] {
+	return &relay[Res]{c: c, p: p, sendRaw: sendRaw}
 }
 
 // contribute splices the idxs item ranges of raw into the coalescing buffer
@@ -182,10 +175,6 @@ func (r *relay[Res]) flush(b *relayBatch[Res]) {
 	c.forwardsOut.Add(1)
 	c.forwardBytesOut.Add(int64(len(b.buf) + uvarintLen(uint64(b.items))))
 	res, err := r.sendRaw(r.p.c, b.buf, b.items, b.trace)
-	if err != nil && errors.Is(err, client.ErrRawUnsupported) {
-		// v1 peer: decode our own buffer and take the negotiated typed path.
-		res, err = r.sendTyped(r.p.c, b.buf, b.items, b.trace)
-	}
 	if err == nil && len(res) != b.items {
 		err = fmt.Errorf("cluster: owner answered %d results for %d forwarded items", len(res), b.items)
 	}
@@ -214,14 +203,6 @@ func uvarintLen(v uint64) int {
 		n++
 	}
 	return n
-}
-
-// decodeRawPayload rebuilds the canonical batch-request payload (uvarint
-// count followed by the items) from a relay buffer, for the typed-fallback
-// path and for tests.
-func decodeRawPayload(items []byte, n int) []byte {
-	payload := binary.AppendUvarint(make([]byte, 0, len(items)+binary.MaxVarintLen64), uint64(n))
-	return append(payload, items...)
 }
 
 // rawBatch is forwardBatch's zero-copy twin: same split/fan-out/merge
@@ -304,7 +285,7 @@ func rawBatch[Req, Res any](c *Cluster, items []Req, raw server.RawItems, sp *ob
 
 // CheckInBatchRaw implements server.RawRouter (see rawBatch).
 func (c *Cluster) CheckInBatchRaw(cis []server.CheckIn, raw server.RawItems, sp *obs.Span) ([]server.CheckInResult, bool) {
-	if c.cfg.DisableRelay || raw.Data == nil || len(raw.Bounds) != len(cis)+1 {
+	if raw.Data == nil || len(raw.Bounds) != len(cis)+1 {
 		return c.CheckInBatch(cis, sp)
 	}
 	return rawBatch(c, cis, raw, sp,
@@ -316,7 +297,7 @@ func (c *Cluster) CheckInBatchRaw(cis []server.CheckIn, raw server.RawItems, sp 
 
 // ReportBatchRaw implements server.RawRouter (see rawBatch).
 func (c *Cluster) ReportBatchRaw(rs []server.Report, raw server.RawItems, sp *obs.Span) ([]server.ReportResult, bool) {
-	if c.cfg.DisableRelay || raw.Data == nil || len(raw.Bounds) != len(rs)+1 {
+	if raw.Data == nil || len(raw.Bounds) != len(rs)+1 {
 		return c.ReportBatch(rs, sp)
 	}
 	return rawBatch(c, rs, raw, sp,
@@ -327,32 +308,3 @@ func (c *Cluster) ReportBatchRaw(rs []server.Report, raw server.RawItems, sp *ob
 }
 
 var _ server.RawRouter = (*Cluster)(nil)
-
-// newPeerRelays wires a peer's two coalescers. The typed fallbacks decode
-// the relay buffer back into items via the canonical batch codec — the
-// bytes came off our own wire, so this cannot fail in practice, but a
-// failure is still surfaced as a forward error rather than guessed around.
-func newPeerRelays(c *Cluster, p *peer) {
-	p.ciRelay = newRelay(c, p,
-		func(pc PeerClient, items []byte, n int, trace uint64) ([]server.CheckInResult, error) {
-			return pc.CheckInBatchForwardRaw(items, n, trace)
-		},
-		func(pc PeerClient, items []byte, n int, trace uint64) ([]server.CheckInResult, error) {
-			var req server.CheckInBatchRequest
-			if err := req.UnmarshalBinary(decodeRawPayload(items, n)); err != nil {
-				return nil, fmt.Errorf("cluster: relay re-decode: %w", err)
-			}
-			return pc.CheckInBatchForward(req.CheckIns, trace)
-		})
-	p.repRelay = newRelay(c, p,
-		func(pc PeerClient, items []byte, n int, trace uint64) ([]server.ReportResult, error) {
-			return pc.ReportBatchForwardRaw(items, n, trace)
-		},
-		func(pc PeerClient, items []byte, n int, trace uint64) ([]server.ReportResult, error) {
-			var req server.ReportBatchRequest
-			if err := req.UnmarshalBinary(decodeRawPayload(items, n)); err != nil {
-				return nil, fmt.Errorf("cluster: relay re-decode: %w", err)
-			}
-			return pc.ReportBatchForward(req.Reports, trace)
-		})
-}

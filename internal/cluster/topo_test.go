@@ -46,8 +46,8 @@ func marshalResults(t *testing.T, res []server.CheckInResult) string {
 // Run under -race in CI: batch sends race against the asynchronous
 // markStale→fetch→install path and against server topology pushes.
 func TestStaleTopologyCorrection(t *testing.T) {
-	fedA := startFederation(t, 2, nil) // serves the stale client
-	fedB := startFederation(t, 2, nil) // serves the fresh client
+	fedA := startFederation(t, 2) // serves the stale client
+	fedB := startFederation(t, 2) // serves the fresh client
 
 	membersA := []string{fedA[0].addr, fedA[1].addr}
 

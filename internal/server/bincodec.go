@@ -1,9 +1,8 @@
 // Wire protocol v2: fixed-layout binary codecs for the high-volume wire
-// types. The JSON codecs in codec.go removed reflection from the serving
-// path; these remove JSON itself. A v2 stream frame carries these layouts
-// for the four serving opcodes (check-in, report, and their batch forms),
-// negotiated per connection at hello time — see internal/transport and the
-// README "Wire protocol" spec.
+// types. The JSON codecs in codec.go serve the HTTP API; these are the only
+// encoding of the stream transport's four serving opcodes (check-in,
+// report, and their batch forms), which ride exclusively in v2 frames — see
+// internal/transport and the README "Wire protocol" spec.
 //
 // Layout conventions (the spec; frozen once shipped):
 //

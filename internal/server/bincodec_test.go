@@ -49,9 +49,8 @@ func TestBinCodecRoundTrip(t *testing.T) {
 }
 
 // TestBinCodecMatchesJSON pins cross-codec equivalence: a value carried
-// over a v2 binary frame must re-marshal to exactly the JSON a v1 frame
-// would have carried, which is what makes mixed-version federations
-// byte-identical at the payload level.
+// over a v2 binary stream frame must re-marshal to exactly the JSON the
+// HTTP API carries, so both transports answer with the same values.
 func TestBinCodecMatchesJSON(t *testing.T) {
 	resp := CheckInBatchResponse{Results: []CheckInResult{
 		{},

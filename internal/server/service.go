@@ -31,9 +31,9 @@ var transportLabels = []string{TransportHTTP, TransportStream}
 // without inspecting error strings.
 //
 // The numeric values are part of the wire protocol: they ride verbatim in
-// stream OpError frames (v1 JSON `code` field and v2 binary error payloads)
-// and in HTTP error bodies, and a v2 client classifies failures by them
-// alone. They are frozen — never renumber or reuse a value; add new codes
+// stream OpError frames (the JSON `code` field in a v1 frame, the binary
+// error payload in a v2 frame) and in HTTP error bodies, and clients
+// classify failures by them alone. They are frozen — never renumber or reuse a value; add new codes
 // at the end. codes_test.go pins them.
 type Code int
 

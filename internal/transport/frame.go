@@ -9,26 +9,25 @@
 //
 //	offset size  field
 //	0      2     magic 0x56 0x4E ("VN")
-//	2      1     protocol version (1 or 2)
+//	2      1     payload encoding (1 = JSON, 2 = binary)
 //	3      1     opcode
 //	4      4     request ID (echoed verbatim in the response)
 //	8      4     payload length N
 //	12     N     payload
 //
-// The version byte declares the *payload encoding* of this frame: version 1
-// payloads are JSON (same wire structs + codecs as HTTP); version 2 carries
-// the fixed-layout binary codec for the four serving opcodes (check-in,
-// report, and their batch forms) and for OpError, while every other opcode
-// keeps JSON payloads even in v2 frames. A response frame echoes the
-// request frame's version, so frames of both versions may interleave on one
-// connection — that is what lets a mixed-version federation keep
-// forwarding.
+// The version byte declares the payload encoding of this one frame. The
+// four serving opcodes (check-in, report, and their batch forms) and
+// OpTopology exist only in version 2 frames, with the fixed-layout binary
+// codec; a version 1 frame carrying one of them is answered with a
+// CodeInvalid error and the connection keeps serving. The low-volume
+// control opcodes (RegisterJob, Jobs, JobStatus, Stats, Metrics, Ping,
+// Hello) carry JSON payloads in either version. A response echoes the
+// request frame's version, and OpError's payload follows it: JSON in a
+// version 1 frame, binary in a version 2 frame.
 //
-// Version negotiation: after dialing, a client sends OpHello (always as a
-// v1/JSON frame) announcing its highest supported version; the server
-// replies with the version both sides will consider enabled. A pre-v2
-// server instead answers OpError ("unknown opcode"), which a client must
-// treat as "peer speaks v1 only". See README "Wire protocol" for the spec.
+// After dialing, a client sends OpHello (a version 1 JSON frame) offering
+// its highest version; the server grants 2, or refuses an offer below 2
+// with a CodeInvalid error. See README "Wire protocol" for the spec.
 //
 // A response reuses the request's opcode with RespFlag set, or OpError with
 // an ErrorPayload body. Request IDs are chosen by the client; responses may
@@ -49,13 +48,11 @@ const (
 	Magic0 = 0x56 // 'V'
 	Magic1 = 0x4E // 'N'
 	// Version1 frames carry JSON payloads; Version2 frames carry the
-	// fixed-layout binary codec on the serving opcodes. MaxVersion is the
-	// highest version this build speaks.
+	// fixed-layout binary codec. MaxVersion is the highest frame version a
+	// reader accepts.
 	Version1   byte = 1
 	Version2   byte = 2
 	MaxVersion byte = Version2
-	// Version is the original protocol version. Deprecated: use Version1.
-	Version = Version1
 	// HeaderSize is the fixed frame-header length in bytes.
 	HeaderSize = 12
 )
@@ -73,17 +70,17 @@ const (
 	OpStats        byte = 0x08
 	OpMetrics      byte = 0x09
 	OpPing         byte = 0x0A
-	// OpHello is the version-negotiation opcode. The request payload is a
-	// HelloRequest, the response a HelloResponse; both ride in v1 (JSON)
-	// frames so that any peer can parse them. Servers predating v2 answer
-	// OpError instead, which clients treat as a v1-only peer.
+	// OpHello is the handshake opcode. The request payload is a
+	// HelloRequest, the response a HelloResponse, both JSON; the client
+	// sends it in a v1 frame. The server grants version 2 and refuses an
+	// offer below 2 with a CodeInvalid error, which the client turns into a
+	// failed dial.
 	OpHello byte = 0x0B
 	// OpTopology requests the federation topology: the ring's member
 	// addresses, vnode count, and an epoch that advances whenever the live
 	// membership changes. The request payload is empty; the response is a
-	// TopologyPayload in the fixed binary layout. It is a v2-era opcode —
-	// requests must ride in v2 frames (a v1 frame is rejected as invalid),
-	// which a client guarantees by only asking after negotiating v2. The
+	// TopologyPayload in the fixed binary layout. Like the serving opcodes
+	// it must ride in a v2 frame (a v1 frame is rejected as invalid). The
 	// server additionally *pushes* an unsolicited OpTopology|RespFlag frame
 	// with request ID 0 to every connection that has fetched the topology
 	// whenever the epoch advances, so ring-aware clients re-partition
@@ -101,13 +98,12 @@ const (
 	// TraceFlag marks a v2 request frame as carrying a trace context: the
 	// payload begins with a TraceContextSize-byte prefix (see AppendTrace /
 	// PeelTrace) that the server strips before decoding. Only the four
-	// serving opcodes may carry it, and only in v2 frames — trace context
-	// never downgrades to v1 peers and never appears on responses (where the
-	// bit pattern would collide with nothing today, but responses carry their
-	// timing in the origin's span instead of on the wire). The federation
-	// layer sets it on hop frames whose origin request was sampled, which is
-	// what lets the owning daemon attribute its time to the same trace ID the
-	// origin records for the hop stage.
+	// serving opcodes may carry it — the server rejects it on any other
+	// opcode with CodeInvalid — and it never appears on responses, which
+	// carry their timing in the origin's span instead of on the wire. The
+	// federation layer sets it on hop frames whose origin request was
+	// sampled, which is what lets the owning daemon attribute its time to
+	// the same trace ID the origin records for the hop stage.
 	TraceFlag byte = 0x20
 	// RespFlag marks a frame as a response to the same opcode.
 	RespFlag byte = 0x80
@@ -117,14 +113,14 @@ const (
 )
 
 // HelloRequest is the OpHello request body (always JSON): the highest
-// protocol version the client can speak.
+// protocol version the client can speak. The server refuses anything
+// below 2.
 type HelloRequest struct {
 	MaxVersion int `json:"max_version"`
 }
 
 // HelloResponse is the OpHello response body (always JSON): the version the
-// server selected, min(client max, server max). All subsequent frames from
-// the client must use a version ≤ this.
+// server granted, always 2.
 type HelloResponse struct {
 	Version int `json:"version"`
 }
@@ -336,33 +332,40 @@ func WriteFrame(w io.Writer, ver, op byte, id uint32, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads and validates one frame. Frames with a version above
-// maxVer are rejected — a v1-only server passes Version1 here, which is
-// exactly how a pre-v2 daemon behaves. Payloads above maxPayload are
-// rejected as a protocol violation — a correct peer never sends them, and
-// honoring the prefix would let a malformed length balloon memory. The
-// returned payload is freshly allocated (it may outlive the reader).
-func ReadFrame(br *bufio.Reader, maxPayload int, maxVer byte) (Frame, error) {
+// readHeader reads and validates one frame header: the magic, a version in
+// [Version1, MaxVersion], and a payload length no larger than maxPayload —
+// a correct peer never sends more, and honoring the prefix would let a
+// malformed length balloon memory. It returns the frame (without payload)
+// and the payload length still to be read.
+func readHeader(br *bufio.Reader, maxPayload int) (Frame, int, error) {
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return Frame{}, err
+		return Frame{}, 0, err
 	}
 	if hdr[0] != Magic0 || hdr[1] != Magic1 {
-		return Frame{}, &ErrProtocol{msg: "bad magic"}
+		return Frame{}, 0, &ErrProtocol{msg: "bad magic"}
 	}
-	if hdr[2] < Version1 || hdr[2] > maxVer {
-		return Frame{}, &ErrProtocol{msg: fmt.Sprintf("unsupported version %d", hdr[2])}
+	if hdr[2] < Version1 || hdr[2] > MaxVersion {
+		return Frame{}, 0, &ErrProtocol{msg: fmt.Sprintf("unsupported version %d", hdr[2])}
 	}
 	n := binary.BigEndian.Uint32(hdr[8:12])
 	if int64(n) > int64(maxPayload) {
-		return Frame{}, &ErrProtocol{msg: fmt.Sprintf("payload %d exceeds limit %d", n, maxPayload)}
+		return Frame{}, 0, &ErrProtocol{msg: fmt.Sprintf("payload %d exceeds limit %d", n, maxPayload)}
 	}
-	fr := Frame{Ver: hdr[2], Op: hdr[3], ID: binary.BigEndian.Uint32(hdr[4:8])}
-	if n > 0 {
-		fr.Payload = make([]byte, n)
-		if _, err := io.ReadFull(br, fr.Payload); err != nil {
-			return Frame{}, err
-		}
+	return Frame{Ver: hdr[2], Op: hdr[3], ID: binary.BigEndian.Uint32(hdr[4:8])}, int(n), nil
+}
+
+// ReadFrame reads and validates one frame (see readHeader for what a
+// protocol violation is). The returned payload is freshly allocated (it may
+// outlive the reader).
+func ReadFrame(br *bufio.Reader, maxPayload int) (Frame, error) {
+	fr, n, err := readHeader(br, maxPayload)
+	if err != nil || n == 0 {
+		return fr, err
+	}
+	fr.Payload = make([]byte, n)
+	if _, err := io.ReadFull(br, fr.Payload); err != nil {
+		return Frame{}, err
 	}
 	return fr, nil
 }
@@ -371,30 +374,9 @@ func ReadFrame(br *bufio.Reader, maxPayload int, maxVer byte) (Frame, error) {
 // (GetBuf). The caller owns the payload and must return it with PutBuf once
 // the frame is fully handled — which also means the payload must not escape
 // the handler (decoders copy what they keep).
-func ReadFramePooled(br *bufio.Reader, maxPayload int, maxVer byte) (Frame, error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return Frame{}, err
-	}
-	if hdr[0] != Magic0 || hdr[1] != Magic1 {
-		return Frame{}, &ErrProtocol{msg: "bad magic"}
-	}
-	if hdr[2] < Version1 || hdr[2] > maxVer {
-		return Frame{}, &ErrProtocol{msg: fmt.Sprintf("unsupported version %d", hdr[2])}
-	}
-	n := binary.BigEndian.Uint32(hdr[8:12])
-	if int64(n) > int64(maxPayload) {
-		return Frame{}, &ErrProtocol{msg: fmt.Sprintf("payload %d exceeds limit %d", n, maxPayload)}
-	}
-	fr := Frame{Ver: hdr[2], Op: hdr[3], ID: binary.BigEndian.Uint32(hdr[4:8])}
-	if n > 0 {
-		fr.Payload = GetBuf(int(n))[:n]
-		if _, err := io.ReadFull(br, fr.Payload); err != nil {
-			PutBuf(fr.Payload)
-			return Frame{}, err
-		}
-	}
-	return fr, nil
+func ReadFramePooled(br *bufio.Reader, maxPayload int) (Frame, error) {
+	fr, _, err := ReadFramePooledTimed(br, maxPayload)
+	return fr, err
 }
 
 // ReadFramePooledTimed is ReadFramePooled, additionally reporting the time
@@ -403,38 +385,24 @@ func ReadFramePooled(br *bufio.Reader, maxPayload int, maxVer byte) (Frame, erro
 // measures client idle time, which would poison any latency attribution.
 // readNs is 0 for empty payloads and whenever the payload was already
 // buffered.
-func ReadFramePooledTimed(br *bufio.Reader, maxPayload int, maxVer byte) (fr Frame, readNs int64, err error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+func ReadFramePooledTimed(br *bufio.Reader, maxPayload int) (fr Frame, readNs int64, err error) {
+	fr, n, err := readHeader(br, maxPayload)
+	if err != nil || n == 0 {
+		return fr, 0, err
+	}
+	fr.Payload = GetBuf(n)[:n]
+	var t0 time.Time
+	// Fast path: the payload is already in the read buffer; a clock read
+	// per frame here would cost more than the copy it times.
+	timed := br.Buffered() < n
+	if timed {
+		t0 = time.Now()
+	}
+	if _, err := io.ReadFull(br, fr.Payload); err != nil {
+		PutBuf(fr.Payload)
 		return Frame{}, 0, err
 	}
-	if hdr[0] != Magic0 || hdr[1] != Magic1 {
-		return Frame{}, 0, &ErrProtocol{msg: "bad magic"}
-	}
-	if hdr[2] < Version1 || hdr[2] > maxVer {
-		return Frame{}, 0, &ErrProtocol{msg: fmt.Sprintf("unsupported version %d", hdr[2])}
-	}
-	n := binary.BigEndian.Uint32(hdr[8:12])
-	if int64(n) > int64(maxPayload) {
-		return Frame{}, 0, &ErrProtocol{msg: fmt.Sprintf("payload %d exceeds limit %d", n, maxPayload)}
-	}
-	fr = Frame{Ver: hdr[2], Op: hdr[3], ID: binary.BigEndian.Uint32(hdr[4:8])}
-	if n > 0 {
-		fr.Payload = GetBuf(int(n))[:n]
-		if br.Buffered() >= int(n) {
-			// Fast path: the payload is already in the read buffer; a clock
-			// read per frame here would cost more than the copy it times.
-			if _, err := io.ReadFull(br, fr.Payload); err != nil {
-				PutBuf(fr.Payload)
-				return Frame{}, 0, err
-			}
-			return fr, 0, nil
-		}
-		t0 := time.Now()
-		if _, err := io.ReadFull(br, fr.Payload); err != nil {
-			PutBuf(fr.Payload)
-			return Frame{}, 0, err
-		}
+	if timed {
 		readNs = int64(time.Since(t0))
 	}
 	return fr, readNs, nil

@@ -51,8 +51,8 @@ func FuzzFrameRead(f *testing.F) {
 		pooled := bufio.NewReader(bytes.NewReader(data))
 		for rest := data; ; {
 			want, wantErr := parseFrame(rest)
-			fr, err := ReadFrame(plain, fuzzMaxPayload, Version2)
-			pfr, perr := ReadFramePooled(pooled, fuzzMaxPayload, Version2)
+			fr, err := ReadFrame(plain, fuzzMaxPayload)
+			pfr, perr := ReadFramePooled(pooled, fuzzMaxPayload)
 			checkFrameRead(t, "ReadFrame", fr, err, want, wantErr)
 			checkFrameRead(t, "ReadFramePooled", pfr, perr, want, wantErr)
 			if wantErr != nil {
@@ -84,7 +84,7 @@ func parseFrame(data []byte) (Frame, error) {
 	if data[0] != Magic0 || data[1] != Magic1 {
 		return Frame{}, &ErrProtocol{msg: "bad magic"}
 	}
-	if data[2] < Version1 || data[2] > Version2 {
+	if data[2] < Version1 || data[2] > MaxVersion {
 		return Frame{}, &ErrProtocol{msg: "unsupported version"}
 	}
 	n := binary.BigEndian.Uint32(data[8:12])

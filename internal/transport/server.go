@@ -6,6 +6,7 @@ import (
 	"encoding"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -30,12 +31,6 @@ type Options struct {
 	// matching the HTTP adapter's batch body bound). A frame announcing
 	// more is a protocol violation and closes the connection.
 	MaxPayload int
-	// MaxVersion caps the protocol version this server speaks (default
-	// MaxVersion, currently 2). Setting 1 makes the server behave exactly
-	// like a pre-v2 daemon — v2 frames are framing violations and OpHello
-	// is an unknown opcode — which is how the mixed-version federation
-	// tests pin the fallback path.
-	MaxVersion byte
 }
 
 func (o *Options) fillDefaults() {
@@ -44,9 +39,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.MaxPayload <= 0 {
 		o.MaxPayload = server.MaxBatch * 1024
-	}
-	if o.MaxVersion == 0 {
-		o.MaxVersion = MaxVersion
 	}
 }
 
@@ -84,9 +76,7 @@ func NewServer(m *server.Manager, opts Options) *Server {
 		conns: make(map[*srvConn]struct{}),
 	}
 	m.SetStreamTelemetrySource(s)
-	if opts.MaxVersion >= Version2 {
-		m.SetTopologyPusher(s)
-	}
+	m.SetTopologyPusher(s)
 	return s
 }
 
@@ -377,7 +367,7 @@ func (s *Server) serveConn(sc *srvConn) {
 	sem := make(chan struct{}, s.opts.Window)
 	var handlers sync.WaitGroup
 	for {
-		fr, readNs, err := ReadFramePooledTimed(br, s.opts.MaxPayload, s.opts.MaxVersion)
+		fr, readNs, err := ReadFramePooledTimed(br, s.opts.MaxPayload)
 		if err != nil {
 			// EOF, peer reset, protocol violation, or the drain deadline:
 			// all end the read loop; in-flight work still completes below.
@@ -436,7 +426,9 @@ func obsOpOf(op byte) obs.Op {
 
 // handle peels the optional trace context off a request frame, starts the
 // request's observability span, and dispatches. A TraceFlag-marked frame
-// (v2 only) carries a 9-byte trace prefix: when its sampled bit is set the
+// carries a 9-byte trace prefix and is legal only on the four serving
+// opcodes in v2 frames (dispatch rejects v1 serving frames; handle rejects
+// the flag on every other opcode): when its sampled bit is set the
 // span is forced with the origin's trace ID — the receiving side of a
 // federation hop records the same trace the origin did, which is what lets
 // a slow hop in the origin's flight recorder be joined against the remote's
@@ -446,8 +438,8 @@ func (s *Server) handle(sc *srvConn, ver, op byte, payload []byte) (byte, []byte
 	var trace uint64
 	if op&TraceFlag != 0 {
 		op &^= TraceFlag
-		if ver < Version2 {
-			b, p, pl := errFrame(ver, server.CodeInvalid, errors.New("transport: trace context requires protocol v2"))
+		if !servingOp(op &^ HopFlag) {
+			b, p, pl := errFrame(ver, server.CodeInvalid, errors.New("transport: trace flag on non-serving opcode"))
 			return b, p, pl, nil
 		}
 		id, sampled, rest, err := PeelTrace(payload)
@@ -474,9 +466,22 @@ func (s *Server) handle(sc *srvConn, ver, op byte, payload []byte) (byte, []byte
 	return ro, rp, pooled, sp
 }
 
+// servingOp reports whether op (flags stripped) is one of the four serving
+// opcodes — the only ones that may carry HopFlag or TraceFlag, and which,
+// like OpTopology, exist only in v2 frames.
+func servingOp(op byte) bool {
+	switch op {
+	case OpCheckIn, OpCheckInBatch, OpReport, OpReportBatch:
+		return true
+	}
+	return false
+}
+
 // dispatch routes one request frame to the service layer and encodes the
 // response. Decode errors and service errors both become OpError frames;
 // only framing violations (handled in the read loop) close the connection.
+// A serving opcode or OpTopology in a v1 frame is answered with a JSON
+// CodeInvalid error.
 //
 // A hop-flagged frame was already forwarded once by a peer daemon: it is
 // dispatched to the local service unconditionally — the hop guard — so a
@@ -486,43 +491,46 @@ func (s *Server) handle(sc *srvConn, ver, op byte, payload []byte) (byte, []byte
 // The flag is only legal on the four serving opcodes; anything else is
 // rejected as invalid.
 //
-// On a *non-hop* v2 batch request, HopFlag on the response opcode means
+// On a *non-hop* batch request, HopFlag on the response opcode means
 // something different: the router forwarded at least one item to a peer
 // ("forwarded flag"). Ring-aware clients treat it as a stale-topology signal
-// and re-fetch the ring. v1 responses never carry it, keeping this server
-// byte-identical to a pre-v2 daemon on v1 connections.
+// and re-fetch the ring.
 //
 // The returned bool marks a pooled response payload (the writer recycles it
 // after the write).
 func (s *Server) dispatch(sc *srvConn, ver, op byte, payload []byte, sp *obs.Span) (byte, []byte, bool) {
 	forwarded := op&HopFlag != 0
-	if forwarded {
-		switch op &^ HopFlag {
-		case OpCheckIn, OpCheckInBatch, OpReport, OpReportBatch:
-			s.svc.NoteForwardedIn(len(payload))
-		default:
-			return errFrame(ver, server.CodeInvalid, errors.New("transport: hop flag on non-forwardable opcode"))
-		}
+	serving := servingOp(op &^ HopFlag)
+	if forwarded && !serving {
+		return errFrame(ver, server.CodeInvalid, errors.New("transport: hop flag on non-forwardable opcode"))
 	}
-	// dec wraps decodeReq with the span's decode-stage mark; the clock reads
-	// are span-gated, so the unsampled path pays nothing extra.
-	dec := func(v wireCodec) error {
-		if sp == nil {
-			return decodeReq(ver, payload, v)
+	if ver < Version2 && (serving || op == OpTopology) {
+		return errFrame(ver, server.CodeInvalid, errors.New("transport: opcode requires a v2 frame"))
+	}
+	if forwarded {
+		s.svc.NoteForwardedIn(len(payload))
+	}
+	// Each serving arm calls decoded right after its binary decode, marking
+	// the span's decode stage since t0. The clock reads are span-gated, so
+	// the unsampled path pays nothing extra.
+	var t0 time.Time
+	if sp != nil {
+		t0 = time.Now()
+	}
+	decoded := func() {
+		if sp != nil {
+			sp.Mark(obs.StageDecode, time.Since(t0))
 		}
-		t0 := time.Now()
-		err := decodeReq(ver, payload, v)
-		sp.Mark(obs.StageDecode, time.Since(t0))
-		return err
 	}
 	switch op &^ HopFlag {
 	case OpCheckIn:
 		var ci server.CheckIn
-		if err := dec(&ci); err != nil {
+		err := ci.UnmarshalBinary(payload)
+		decoded()
+		if err != nil {
 			return svcErrFrame(ver, err)
 		}
 		var asg server.Assignment
-		var err error
 		if forwarded {
 			asg, err = s.svc.CheckInLocal(ci, sp)
 		} else {
@@ -535,7 +543,9 @@ func (s *Server) dispatch(sc *srvConn, ver, op byte, payload []byte, sp *obs.Spa
 	case OpCheckInBatch:
 		var req server.CheckInBatchRequest
 		if forwarded {
-			if err := dec(&req); err != nil {
+			err := req.UnmarshalBinary(payload)
+			decoded()
+			if err != nil {
 				return svcErrFrame(ver, err)
 			}
 			resp, err := s.svc.CheckInBatchLocal(req, sp)
@@ -544,37 +554,26 @@ func (s *Server) dispatch(sc *srvConn, ver, op byte, payload []byte, sp *obs.Spa
 			}
 			return respFrameSpan(ver, op, &resp, sp)
 		}
-		var raw server.RawItems
-		if ver >= Version2 {
-			var t0 time.Time
-			if sp != nil {
-				t0 = time.Now()
-			}
-			bounds, err := req.UnmarshalBinaryBounds(payload)
-			if sp != nil {
-				sp.Mark(obs.StageDecode, time.Since(t0))
-			}
-			if err != nil {
-				return svcErrFrame(ver, err)
-			}
-			raw = server.RawItems{Data: payload, Bounds: bounds}
-		} else if err := dec(&req); err != nil {
-			return svcErrFrame(ver, err)
-		}
-		resp, fwd, err := s.svc.CheckInBatchRouted(req, raw, sp)
+		bounds, err := req.UnmarshalBinaryBounds(payload)
+		decoded()
 		if err != nil {
 			return svcErrFrame(ver, err)
 		}
-		if fwd && ver >= Version2 {
+		resp, fwd, err := s.svc.CheckInBatchRouted(req, server.RawItems{Data: payload, Bounds: bounds}, sp)
+		if err != nil {
+			return svcErrFrame(ver, err)
+		}
+		if fwd {
 			op |= HopFlag
 		}
 		return respFrameSpan(ver, op, &resp, sp)
 	case OpReport:
 		var rep server.Report
-		if err := dec(&rep); err != nil {
+		err := rep.UnmarshalBinary(payload)
+		decoded()
+		if err != nil {
 			return svcErrFrame(ver, err)
 		}
-		var err error
 		if forwarded {
 			err = s.svc.ReportLocal(rep, sp)
 		} else {
@@ -587,7 +586,9 @@ func (s *Server) dispatch(sc *srvConn, ver, op byte, payload []byte, sp *obs.Spa
 	case OpReportBatch:
 		var req server.ReportBatchRequest
 		if forwarded {
-			if err := dec(&req); err != nil {
+			err := req.UnmarshalBinary(payload)
+			decoded()
+			if err != nil {
 				return svcErrFrame(ver, err)
 			}
 			resp, err := s.svc.ReportBatchLocal(req, sp)
@@ -596,28 +597,16 @@ func (s *Server) dispatch(sc *srvConn, ver, op byte, payload []byte, sp *obs.Spa
 			}
 			return respFrameSpan(ver, op, &resp, sp)
 		}
-		var raw server.RawItems
-		if ver >= Version2 {
-			var t0 time.Time
-			if sp != nil {
-				t0 = time.Now()
-			}
-			bounds, err := req.UnmarshalBinaryBounds(payload)
-			if sp != nil {
-				sp.Mark(obs.StageDecode, time.Since(t0))
-			}
-			if err != nil {
-				return svcErrFrame(ver, err)
-			}
-			raw = server.RawItems{Data: payload, Bounds: bounds}
-		} else if err := dec(&req); err != nil {
-			return svcErrFrame(ver, err)
-		}
-		resp, fwd, err := s.svc.ReportBatchRouted(req, raw, sp)
+		bounds, err := req.UnmarshalBinaryBounds(payload)
+		decoded()
 		if err != nil {
 			return svcErrFrame(ver, err)
 		}
-		if fwd && ver >= Version2 {
+		resp, fwd, err := s.svc.ReportBatchRouted(req, server.RawItems{Data: payload, Bounds: bounds}, sp)
+		if err != nil {
+			return svcErrFrame(ver, err)
+		}
+		if fwd {
 			op |= HopFlag
 		}
 		return respFrameSpan(ver, op, &resp, sp)
@@ -650,11 +639,7 @@ func (s *Server) dispatch(sc *srvConn, ver, op byte, payload []byte, sp *obs.Spa
 	case OpPing:
 		return op | RespFlag, nil, false
 	case OpTopology:
-		// v2-era opcode: requests must ride in v2 frames. Serving it flags
-		// the connection for topology pushes.
-		if ver < Version2 {
-			return errFrame(ver, server.CodeInvalid, errors.New("transport: topology requires protocol v2"))
-		}
+		// Serving it flags the connection for topology pushes.
 		src := s.m.TopologySourceRef()
 		if src == nil {
 			return errFrame(ver, server.CodeUnavailable, errors.New("transport: no federation topology attached"))
@@ -664,40 +649,19 @@ func (s *Server) dispatch(sc *srvConn, ver, op byte, payload []byte, sp *obs.Spa
 		tp := TopologyPayload{Epoch: info.Epoch, VNodes: info.VNodes, Members: info.Members}
 		return respFrame(ver, op, &tp)
 	case OpHello:
-		// Version negotiation. A server capped at v1 must be byte-for-byte
-		// indistinguishable from a pre-v2 daemon, so it falls through to
-		// the unknown-opcode error below — which is exactly the reply
-		// clients interpret as "peer speaks v1 only".
-		if s.opts.MaxVersion >= Version2 {
-			var req HelloRequest
-			if err := json.Unmarshal(payload, &req); err != nil {
-				return errFrame(ver, server.CodeInvalid, err)
-			}
-			v := min(req.MaxVersion, int(s.opts.MaxVersion))
-			if v < int(Version1) {
-				v = int(Version1)
-			}
-			return respFrame(Version1, op, HelloResponse{Version: v})
+		// The handshake: grant 2, or refuse an offer below it. The reply is
+		// JSON whatever the frame version.
+		var req HelloRequest
+		if err := json.Unmarshal(payload, &req); err != nil {
+			return errFrame(ver, server.CodeInvalid, err)
 		}
-		fallthrough
+		if req.MaxVersion < int(Version2) {
+			return errFrame(ver, server.CodeInvalid, fmt.Errorf("transport: hello offers version %d, server requires 2", req.MaxVersion))
+		}
+		return respFrame(Version1, op, HelloResponse{Version: int(Version2)})
 	default:
 		return errFrame(ver, server.CodeInvalid, errors.New("transport: unknown opcode"))
 	}
-}
-
-// wireCodec is implemented by the serving wire types, which carry both a
-// hand-rolled JSON codec (v1) and the fixed-layout binary codec (v2).
-type wireCodec interface {
-	json.Unmarshaler
-	encoding.BinaryUnmarshaler
-}
-
-// decodeReq decodes a serving-opcode request payload per the frame version.
-func decodeReq(ver byte, payload []byte, v wireCodec) error {
-	if ver >= Version2 {
-		return v.UnmarshalBinary(payload)
-	}
-	return v.UnmarshalJSON(payload)
 }
 
 // binaryAppender is the pooled-encode fast path: types that can append their
@@ -710,9 +674,9 @@ type binaryAppender interface {
 // respFrame encodes a success response: the binary codec when the frame is
 // v2 and the type has one (into a pooled buffer when the type supports
 // appending), else the hand-rolled JSON marshaler, else encoding/json.
-// Non-serving opcodes keep JSON payloads in every version — they have no
-// binary codec, and they are off the hot path. The returned bool marks a
-// pooled payload.
+// Only the serving responses and TopologyPayload have a binary codec; the
+// control opcodes keep JSON payloads in either frame version — they are
+// off the hot path. The returned bool marks a pooled payload.
 func respFrame(ver, op byte, v any) (byte, []byte, bool) {
 	if ver >= Version2 {
 		if m, ok := v.(binaryAppender); ok {

@@ -196,7 +196,7 @@ func TestStreamReconnect(t *testing.T) {
 	addr := ln.Addr().String()
 	go func() { _ = ts.Serve(ln) }()
 
-	c := client.NewStream(addr, client.WithStreamTimeout(2*time.Second))
+	c := client.NewStream(addr, client.WithTimeout(2*time.Second))
 	defer c.Close()
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestStreamShutdownMidStream(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < clients; i++ {
-		c := client.NewStream(addr, client.WithStreamTimeout(2*time.Second))
+		c := client.NewStream(addr, client.WithTimeout(2*time.Second))
 		defer c.Close()
 		wg.Add(1)
 		go func(c *client.StreamClient, i int) {
@@ -275,7 +275,7 @@ func TestStreamShutdownMidStream(t *testing.T) {
 		t.Errorf("%d connections survived shutdown", tel.Conns)
 	}
 	// New connections must be refused.
-	c2 := client.NewStream(addr, client.WithStreamTimeout(500*time.Millisecond))
+	c2 := client.NewStream(addr, client.WithTimeout(500*time.Millisecond))
 	defer c2.Close()
 	if err := c2.Ping(); err == nil {
 		t.Error("ping succeeded after shutdown")
@@ -328,7 +328,7 @@ func TestStreamProtocolViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = bw3.Flush()
-	fr, err := transport.ReadFrame(bufio.NewReader(raw3), 1024, transport.MaxVersion)
+	fr, err := transport.ReadFrame(bufio.NewReader(raw3), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,9 @@ package transport_test
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -29,94 +31,126 @@ func startShardedServer(t *testing.T, opts transport.Options, shards int) (*serv
 	return m, ts, lns[0].Addr().String()
 }
 
-// rawHello dials addr and performs a hand-rolled hello exchange, returning
-// the response frame.
-func rawHello(t *testing.T, addr string, maxVersion int) transport.Frame {
+// exchange dials addr, writes frames as one burst, and reads back n
+// response frames keyed by request ID.
+func exchange(t *testing.T, addr string, n int, frames ...transport.Frame) map[uint32]transport.Frame {
 	t.Helper()
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	payload, _ := json.Marshal(transport.HelloRequest{MaxVersion: maxVersion})
 	bw := bufio.NewWriter(raw)
-	if err := transport.WriteFrame(bw, transport.Version1, transport.OpHello, 9, payload); err != nil {
-		t.Fatal(err)
+	for _, fr := range frames {
+		if err := transport.WriteFrame(bw, fr.Ver, fr.Op, fr.ID, fr.Payload); err != nil {
+			t.Fatal(err)
+		}
 	}
 	_ = bw.Flush()
 	_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
-	fr, err := transport.ReadFrame(bufio.NewReader(raw), 1<<20, transport.MaxVersion)
-	if err != nil {
-		t.Fatal(err)
+	br := bufio.NewReader(raw)
+	got := map[uint32]transport.Frame{}
+	for i := 0; i < n; i++ {
+		fr, err := transport.ReadFrame(br, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[fr.ID] = fr
 	}
-	return fr
+	return got
 }
 
-// TestHelloNegotiation pins the negotiation matrix at the frame level: a v2
-// server grants min(client, server), and a v1-capped server answers the
-// hello with OpError exactly like a pre-v2 daemon.
-func TestHelloNegotiation(t *testing.T) {
+// helloFrame builds an OpHello request offering maxVersion.
+func helloFrame(id uint32, maxVersion int) transport.Frame {
+	payload, _ := json.Marshal(transport.HelloRequest{MaxVersion: maxVersion})
+	return transport.Frame{Ver: transport.Version1, Op: transport.OpHello, ID: id, Payload: payload}
+}
+
+// errorOf decodes an OpError frame's payload per its frame version.
+func errorOf(t *testing.T, fr transport.Frame) transport.ErrorPayload {
+	t.Helper()
+	if fr.Op != transport.OpError {
+		t.Fatalf("frame %d: op %#x, want OpError", fr.ID, fr.Op)
+	}
+	var ep transport.ErrorPayload
+	var err error
+	if fr.Ver == transport.Version2 {
+		err = ep.UnmarshalBinary(fr.Payload)
+	} else {
+		err = json.Unmarshal(fr.Payload, &ep)
+	}
+	if err != nil {
+		t.Fatalf("frame %d: v%d error payload %q: %v", fr.ID, fr.Ver, fr.Payload, err)
+	}
+	return ep
+}
+
+// TestHello pins the handshake at the frame level: an offer of 2 or more is
+// granted 2, and an offer below 2 is refused with CodeInvalid.
+func TestHello(t *testing.T) {
 	_, _, addr := startServer(t, transport.Options{})
-	for _, tc := range []struct{ ask, want int }{{2, 2}, {1, 1}, {7, 2}, {0, 1}} {
-		fr := rawHello(t, addr, tc.ask)
-		if fr.Op != transport.OpHello|transport.RespFlag || fr.ID != 9 {
-			t.Fatalf("ask %d: got op %#x id %d", tc.ask, fr.Op, fr.ID)
+	for _, ask := range []int{2, 7} {
+		fr := exchange(t, addr, 1, helloFrame(9, ask))[9]
+		if fr.Op != transport.OpHello|transport.RespFlag {
+			t.Fatalf("ask %d: got op %#x", ask, fr.Op)
 		}
 		var hr transport.HelloResponse
 		if err := json.Unmarshal(fr.Payload, &hr); err != nil {
 			t.Fatal(err)
 		}
-		if hr.Version != tc.want {
-			t.Errorf("ask %d: granted %d, want %d", tc.ask, hr.Version, tc.want)
+		if hr.Version != 2 {
+			t.Errorf("ask %d: granted %d, want 2", ask, hr.Version)
 		}
 	}
-
-	_, _, v1addr := startServer(t, transport.Options{MaxVersion: transport.Version1})
-	if fr := rawHello(t, v1addr, 2); fr.Op != transport.OpError {
-		t.Errorf("v1-only server answered hello with %#x, want OpError", fr.Op)
+	for _, ask := range []int{0, 1} {
+		fr := exchange(t, addr, 1, helloFrame(9, ask))[9]
+		if ep := errorOf(t, fr); ep.Code != int(server.CodeInvalid) {
+			t.Errorf("ask %d: error code %d, want CodeInvalid", ask, ep.Code)
+		}
 	}
 }
 
-// TestClientFallsBackToV1 drives a full client workload against a v1-capped
-// server: negotiation must downgrade transparently and every call must
-// still work over JSON payloads.
-func TestClientFallsBackToV1(t *testing.T) {
-	m, ts, addr := startServer(t, transport.Options{MaxVersion: transport.Version1})
-	c := client.NewStream(addr)
-	defer c.Close()
-
-	if _, err := c.RegisterJob(server.JobSpec{Name: "j0", Category: "General", DemandPerRound: 2, Rounds: 1}); err != nil {
-		t.Fatal(err)
-	}
-	cis := []server.CheckIn{{DeviceID: "a", CPU: 0.9, Mem: 0.9}, {DeviceID: "b", CPU: 0.9, Mem: 0.9}}
-	results, err := c.CheckInBatch(cis)
+// TestClientRefusesPreV2Daemon: a daemon that answers the hello with
+// OpError, as one predating v2 does, fails the dial before any request is
+// sent, so the caller sees a NotSentError.
+func TestClientRefusesPreV2Daemon(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for i, res := range results {
-		if res.Error != "" {
-			t.Fatalf("result %d: %s", i, res.Error)
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn) {
+				defer c.Close()
+				fr, err := transport.ReadFrame(bufio.NewReader(c), 1<<20)
+				if err != nil {
+					return
+				}
+				payload, _ := json.Marshal(transport.ErrorPayload{Code: int(server.CodeInvalid), Error: "transport: unknown opcode"})
+				bw := bufio.NewWriter(c)
+				_ = transport.WriteFrame(bw, transport.Version1, transport.OpError, fr.ID, payload)
+				_ = bw.Flush()
+				_, _ = io.Copy(io.Discard, c)
+			}(c)
 		}
+	}()
+	c := client.NewStream(ln.Addr().String(), client.WithTimeout(2*time.Second))
+	defer c.Close()
+	_, err = c.CheckIn(server.CheckIn{DeviceID: "dev", CPU: 0.5, Mem: 0.5})
+	var nse *client.NotSentError
+	if !errors.As(err, &nse) {
+		t.Fatalf("check-in against a pre-v2 daemon: err %v, want *client.NotSentError", err)
 	}
-	// Typed errors still decode over the v1 error frame.
-	if _, err := c.JobStatus(999); err == nil {
-		t.Fatal("missing job did not error")
-	} else if client.ErrCode(err) != server.CodeNotFound {
-		t.Errorf("v1 error code = %d, want CodeNotFound", client.ErrCode(err))
-	}
-	// No v2 frames may have reached a v1-capped server.
-	if tel := ts.StreamTelemetry(); tel.FramesInV2 != 0 {
-		t.Errorf("v1-capped server counted %d v2 frames", tel.FramesInV2)
-	}
-	_ = m
 }
 
 // TestV2BinaryOnTheWire asserts a default client ↔ default server pair
-// actually negotiates v2 and moves the serving opcodes as binary frames
-// (counted by the server), while typed errors come back binary too.
+// moves the serving opcodes as binary v2 frames (counted by the server),
+// while typed errors come back binary too.
 func TestV2BinaryOnTheWire(t *testing.T) {
 	_, ts, addr := startServer(t, transport.Options{})
 	c := client.NewStream(addr)
@@ -138,91 +172,75 @@ func TestV2BinaryOnTheWire(t *testing.T) {
 	} else if client.ErrCode(err) != server.CodeTooLarge {
 		t.Errorf("v2 error code = %d, want CodeTooLarge", client.ErrCode(err))
 	}
-	// An explicitly v1-capped client against the same server keeps JSON.
-	c1 := client.NewStream(addr, client.WithMaxWireVersion(1))
-	defer c1.Close()
-	before := ts.StreamTelemetry().FramesInV2
-	if err := c1.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c1.CheckIn(server.CheckIn{DeviceID: "dev2", CPU: 0.5, Mem: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if after := ts.StreamTelemetry().FramesInV2; after != before {
-		t.Errorf("v1-capped client produced %d v2 frames", after-before)
-	}
 }
 
-// TestMixedVersionFramesOneConn pins the per-frame versioning rule directly:
-// one raw connection interleaving v1-JSON and v2-binary check-ins gets each
-// answered in the version it asked with.
-func TestMixedVersionFramesOneConn(t *testing.T) {
+// TestServingOpsRequireV2Frames pins the per-frame rule on one connection:
+// a check-in in a v1 frame is refused with a JSON CodeInvalid error — even
+// when its payload is a well-formed binary check-in, so the frame version
+// decides, not the payload — the same check-in in a v2 frame is answered
+// in binary, a v1 OpTopology is refused the same way, and a control opcode
+// in a v1 frame is still answered in JSON.
+func TestServingOpsRequireV2Frames(t *testing.T) {
 	_, _, addr := startServer(t, transport.Options{})
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	bw := bufio.NewWriter(raw)
-
 	ci := server.CheckIn{DeviceID: "mixed", CPU: 0.5, Mem: 0.5}
 	jsonBody, _ := ci.MarshalJSON()
 	binBody, _ := ci.MarshalBinary()
-	if err := transport.WriteFrame(bw, transport.Version1, transport.OpCheckIn, 1, jsonBody); err != nil {
-		t.Fatal(err)
-	}
-	if err := transport.WriteFrame(bw, transport.Version2, transport.OpCheckIn, 2, binBody); err != nil {
-		t.Fatal(err)
-	}
-	_ = bw.Flush()
-	_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
-	br := bufio.NewReader(raw)
-	got := map[uint32]transport.Frame{}
-	for i := 0; i < 2; i++ {
-		fr, err := transport.ReadFrame(br, 1<<20, transport.MaxVersion)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[fr.ID] = fr
-	}
-	if fr := got[1]; fr.Ver != transport.Version1 || fr.Op != transport.OpCheckIn|transport.RespFlag {
-		t.Errorf("v1 request answered ver %d op %#x", fr.Ver, fr.Op)
-	} else {
-		var asg server.Assignment
-		if err := asg.UnmarshalJSON(fr.Payload); err != nil {
-			t.Errorf("v1 response not JSON: %v", err)
+	got := exchange(t, addr, 5,
+		transport.Frame{Ver: transport.Version1, Op: transport.OpCheckIn, ID: 1, Payload: jsonBody},
+		transport.Frame{Ver: transport.Version2, Op: transport.OpCheckIn, ID: 2, Payload: binBody},
+		transport.Frame{Ver: transport.Version1, Op: transport.OpJobs, ID: 3},
+		transport.Frame{Ver: transport.Version1, Op: transport.OpCheckIn, ID: 4, Payload: binBody},
+		transport.Frame{Ver: transport.Version1, Op: transport.OpTopology, ID: 5})
+	for _, id := range []uint32{1, 4, 5} {
+		if fr := got[id]; fr.Ver != transport.Version1 {
+			t.Errorf("frame %d: v1 request answered in a v%d frame", id, fr.Ver)
+		} else if ep := errorOf(t, fr); ep.Code != int(server.CodeInvalid) {
+			t.Errorf("frame %d: v1 serving request: error code %d, want CodeInvalid", id, ep.Code)
 		}
 	}
 	if fr := got[2]; fr.Ver != transport.Version2 || fr.Op != transport.OpCheckIn|transport.RespFlag {
-		t.Errorf("v2 request answered ver %d op %#x", fr.Ver, fr.Op)
+		t.Errorf("v2 check-in answered ver %d op %#x", fr.Ver, fr.Op)
 	} else {
 		var asg server.Assignment
 		if err := asg.UnmarshalBinary(fr.Payload); err != nil {
 			t.Errorf("v2 response not binary: %v", err)
 		}
 	}
+	if fr := got[3]; fr.Ver != transport.Version1 || fr.Op != transport.OpJobs|transport.RespFlag {
+		t.Errorf("v1 jobs answered ver %d op %#x", fr.Ver, fr.Op)
+	} else {
+		var jobs []server.JobStatus
+		if err := json.Unmarshal(fr.Payload, &jobs); err != nil {
+			t.Errorf("v1 jobs response not JSON: %v", err)
+		}
+	}
 }
 
-// TestV1ServerRejectsV2Frames: a v1-capped server treats a v2 frame as a
-// protocol violation and closes the connection, exactly like a pre-v2
-// daemon would.
-func TestV1ServerRejectsV2Frames(t *testing.T) {
-	_, _, addr := startServer(t, transport.Options{MaxVersion: transport.Version1})
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+// TestTraceFlagRejectedOnNonServingOp: only the four serving opcodes may
+// carry a trace context. A sampled TraceFlag on a control opcode is refused
+// with CodeInvalid (binary, since the frame is v2), and the connection keeps
+// serving.
+func TestTraceFlagRejectedOnNonServingOp(t *testing.T) {
+	_, _, addr := startServer(t, transport.Options{})
+	traced := transport.AppendTrace(nil, 0xfeed, true)
+	ops := []byte{transport.OpStats, transport.OpPing, transport.OpJobs}
+	frames := make([]transport.Frame, 0, len(ops)+1)
+	for i, op := range ops {
+		frames = append(frames, transport.Frame{Ver: transport.Version2, Op: op | transport.TraceFlag, ID: uint32(i + 1), Payload: traced})
 	}
-	defer raw.Close()
-	ci := server.CheckIn{DeviceID: "x", CPU: 1, Mem: 1}
-	binBody, _ := ci.MarshalBinary()
-	bw := bufio.NewWriter(raw)
-	if err := transport.WriteFrame(bw, transport.Version2, transport.OpCheckIn, 1, binBody); err != nil {
-		t.Fatal(err)
+	frames = append(frames, transport.Frame{Ver: transport.Version2, Op: transport.OpPing, ID: 9})
+	got := exchange(t, addr, len(frames), frames...)
+	for i, op := range ops {
+		fr := got[uint32(i+1)]
+		if fr.Ver != transport.Version2 {
+			t.Errorf("op %#x: answered in a v%d frame", op, fr.Ver)
+		}
+		if ep := errorOf(t, fr); ep.Code != int(server.CodeInvalid) {
+			t.Errorf("op %#x with TraceFlag: error code %d, want CodeInvalid", op, ep.Code)
+		}
 	}
-	_ = bw.Flush()
-	_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := transport.ReadFrame(bufio.NewReader(raw), 1<<20, transport.MaxVersion); err == nil {
-		t.Error("v1-capped server answered a v2 frame instead of closing")
+	if fr := got[9]; fr.Op != transport.OpPing|transport.RespFlag {
+		t.Errorf("ping after rejected frames: op %#x", fr.Op)
 	}
 }
 
